@@ -8,7 +8,7 @@ GO ?= go
 BENCH_OLD ?= BENCH_7.json
 BENCH_NEW ?= BENCH_8.json
 
-.PHONY: check vet race bench bench-compare bench-smoke bench-smoke-refresh benchmem e12-smoke e12-xl incident-replay incident-regen livenet-soak recovery-soak serve-soak
+.PHONY: check vet race bench bench-compare bench-smoke bench-smoke-refresh benchmem e12-smoke e12-xl incident-replay incident-regen tables-regen livenet-soak recovery-soak serve-soak
 
 check:
 	$(GO) build ./...
@@ -70,6 +70,13 @@ incident-replay:
 # unexplained divergence.
 incident-regen:
 	INCIDENT_REGEN=1 $(GO) test -run TestIncidentCorpusReplayMatrix -count=1 -v ./internal/incident/
+
+# tables-regen rewrites the harness golden digests
+# (internal/harness/testdata/tables.golden and traces.golden) from the
+# current code. Like incident-regen, use it only after an *intentional*
+# behaviour change, never to paper over an unexplained diff.
+tables-regen:
+	TABLES_REGEN=1 $(GO) test -run 'TestTablesGolden|TestCoreEquivalenceTraces' -count=1 -v ./internal/harness/
 
 # livenet-soak runs the real-goroutine transport under the race detector
 # with injected loss, duplication, jitter, and flapping parties, reliable

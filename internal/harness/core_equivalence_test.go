@@ -50,6 +50,8 @@ func runTraced(t *testing.T, p core.Params, scen scenario.Spec, eventCore sim.Ev
 // on both event cores with a delivery-trace observer and asserts
 // event-for-event identical orders, plus identical decisions and stats.
 func TestCoreEquivalenceTraces(t *testing.T) {
+	g := loadGolden(t, tracesGolden)
+	defer g.finish(t)
 	faultKinds := []string{"", "crash", "silent", "extreme", "equivocate", "spam", "amplifier"}
 	for _, faultKind := range faultKinds {
 		// Crash-kind (and fault-free) runs use the crash protocol at its
@@ -76,6 +78,7 @@ func TestCoreEquivalenceTraces(t *testing.T) {
 				if len(heapTrace) == 0 {
 					t.Fatal("empty delivery trace")
 				}
+				g.check(t, name, traceDigest(heapTrace, heapRep.Result))
 				if len(heapTrace) != len(calTrace) {
 					t.Fatalf("trace lengths diverge: heap %d, calendar %d", len(heapTrace), len(calTrace))
 				}

@@ -1,8 +1,12 @@
 package sim
 
 import (
+	"crypto/sha256"
 	"errors"
+	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -105,11 +109,18 @@ func TestBatchModeTraceEquivalence(t *testing.T) {
 		"crash": func(cfg *Config) {
 			cfg.Crashes = []CrashPlan{{Party: 1, AfterSends: 9}, {Party: 4, AfterSends: 20}}
 		},
+		// n=64 multicast storms make 4096-event ticks, far past the
+		// sparse-tick cutoff.
+		"crash-n64": func(cfg *Config) {
+			cfg.N = 64
+			cfg.Crashes = []CrashPlan{{Party: 3, AfterSends: 70}, {Party: 40, AfterSends: 130}}
+		},
 	}
 	for sname, mk := range scheds {
 		for mname, mut := range muts {
 			t.Run(sname+"/"+mname, func(t *testing.T) {
 				offTrace, offRes, offErr := runBatchTrace(t, mk(), BatchOff, mut)
+				checkGolden(t, "trace/"+sname+"/"+mname, runDigest(offTrace, offRes, offErr))
 				onTrace, onRes, onErr := runBatchTrace(t, mk(), BatchOn, mut)
 				if !errors.Is(onErr, offErr) && !(onErr == nil && offErr == nil) {
 					t.Fatalf("errors diverge: off %v, on %v", offErr, onErr)
@@ -142,6 +153,52 @@ func TestBatchModeTraceEquivalence(t *testing.T) {
 	}
 }
 
+// goldenRuns holds the runDigest of every case in this file and in
+// restart_test.go, recorded from the per-envelope reference loop.
+var goldenRuns = map[string]string{
+	"trace/const/fault-free":  "3d95c8103ad354cb95e59aa3e3557262e77bf27d2c40262b9e19e1e152a77e78",
+	"trace/const/crash":       "a8307f8804a0ee31c64b77e27348fb7dd0a46ef8f85286a0902fcb589f53be22",
+	"trace/const/crash-n64":   "235dd5bec58c0cccf7fd619407eaafad3d8b47cfe50d6b5bb624eac0b8ffd20f",
+	"trace/random/fault-free": "a7f186ff70c4b53d0621ea888a0b596ef108f8a7c3b239c0197da0d33e956b1c",
+	"trace/random/crash":      "c6a4f557e0de58c90c82f7aa38c4fc55d2edc620c4c3569e9116f5e1015f6ec7",
+	"trace/random/crash-n64":  "f1606c6d03cc51c06a0ba85482c163fc7f8d107161433d7e0e8e99457939af74",
+	"trace/skewed/fault-free": "16ead3d24af66774738055d1ba131ed7be3bbf1dd187bce96de7bcfe514114ba",
+	"trace/skewed/crash":      "02aa5969ecc76caac609f8389b04f3c6b4f1165f362fe44a47a472205b8fadb8",
+	"trace/skewed/crash-n64":  "1600a03b742432dc577ee73aafe98e14d493ae9f63f68546c028be3b2a2d3a47",
+	"budget/1":                "87418838908b0da18fb84055e94b87d128e34a67cbf45d91d436b76e8ff74fe6",
+	"budget/7":                "942ad9ebb6273aa84750332379c3b64d5b4628de45d38493a263f957052e283c",
+	"budget/23":               "8c932e1bca0340b88cdc20baa9d22b4cba8c8e655ddf93ca879d4ff0c3f587a2",
+	"budget/50":               "b0f07b899776554c5c1f929ff75455cc32a1b535be0a3f79595a177747cef814",
+	"midtick":                 "6efc1c61404521736b6c3f0d36739f5aabb88f1f5e65f69d95001b979dd22454",
+	"restart":                 "99258ff8e32e2dc3f39de6a3dfcb935b6da39a1a57177af98959486920e7236b",
+	"restart/checkpoints":     "[2a13476f6431c31e]",
+}
+
+// checkGolden fails the test when a run's digest differs from its
+// recorded golden.
+func checkGolden(t *testing.T, key, got string) {
+	t.Helper()
+	if want := goldenRuns[key]; got != want {
+		t.Errorf("%s: run digest %s, want golden %s", key, got, want)
+	}
+}
+
+// runDigest hashes a run's delivery trace, result, and error into a hex
+// SHA-256: one string that changes if any delivery, counter, decision, or
+// decision time does.
+func runDigest(trace []batchRecord, res *Result, runErr error) string {
+	h := sha256.New()
+	for _, r := range trace {
+		fmt.Fprintf(h, "%d %d %d %d %d\n", r.Now, r.From, r.To, r.Seq, r.Len)
+	}
+	fmt.Fprintf(h, "err=%v stats=%+v finish=%d maxdelay=%d honest=%v\n",
+		runErr, res.Stats, res.FinishTime, res.MaxHonestDelay, res.Honest)
+	for _, id := range slices.Sorted(maps.Keys(res.Decisions)) {
+		fmt.Fprintf(h, "%d %v %d\n", id, res.Decisions[id], res.DecidedAt[id])
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
 // rngSched draws every delay from the shared rng: the serial dependency
 // that forces the batched loop to flush deferred sends in trigger order.
 type rngSched struct{ max int64 }
@@ -165,6 +222,7 @@ func TestBatchModeBudgetEquivalence(t *testing.T) {
 	for _, budget := range []int{1, 7, 23, 50} {
 		mut := func(cfg *Config) { cfg.MaxEvents = budget }
 		offTrace, offRes, offErr := runBatchTrace(t, constDelay{d: 3}, BatchOff, mut)
+		checkGolden(t, fmt.Sprintf("budget/%d", budget), runDigest(offTrace, offRes, offErr))
 		onTrace, onRes, onErr := runBatchTrace(t, constDelay{d: 3}, BatchOn, mut)
 		if !errors.Is(offErr, ErrEventBudget) {
 			t.Fatalf("budget %d: reference run did not trip the budget: %v", budget, offErr)
@@ -200,6 +258,10 @@ func TestBatchModeMidTickCompletion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var trace []batchRecord
+		net.SetObserver(func(now Time, env Envelope) {
+			trace = append(trace, batchRecord{Now: now, From: env.From, To: env.To, Seq: env.Seq, Len: len(env.Data)})
+		})
 		for i := 0; i < cfg.N; i++ {
 			if err := net.SetProcess(PartyID(i), &chattyProc{need: 25}); err != nil {
 				t.Fatal(err)
@@ -208,6 +270,9 @@ func TestBatchModeMidTickCompletion(t *testing.T) {
 		res, runErr := net.Run()
 		if runErr != nil {
 			t.Fatalf("run failed: %v", runErr)
+		}
+		if mode == BatchOff {
+			checkGolden(t, "midtick", runDigest(trace, res, runErr))
 		}
 		return res, res.Stats
 	}

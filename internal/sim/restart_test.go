@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -49,6 +50,13 @@ func (p *rollProc) Rejoin() { p.api.Multicast([]byte{1}) }
 // t=0, crashes at t=2, and rejoins at t=4.
 func restartRun(t *testing.T, batch BatchMode) (*Network, *Result) {
 	t.Helper()
+	n, res, _ := restartTrace(t, batch)
+	return n, res
+}
+
+// restartTrace is restartRun that also returns the delivery trace.
+func restartTrace(t *testing.T, batch BatchMode) (*Network, *Result, []batchRecord) {
+	t.Helper()
 	cfg := Config{
 		N:         3,
 		Scheduler: constDelay{1},
@@ -61,6 +69,10 @@ func restartRun(t *testing.T, batch BatchMode) (*Network, *Result) {
 	}
 	// Party 0 decides on any delivery; the others need the rejoin traffic
 	// on top of the initial burst, so the run stalls without the restart.
+	var trace []batchRecord
+	n.SetObserver(func(now Time, env Envelope) {
+		trace = append(trace, batchRecord{Now: now, From: env.From, To: env.To, Seq: env.Seq, Len: len(env.Data)})
+	})
 	n.SetProcess(0, &rollProc{need: 1})
 	n.SetProcess(1, &rollProc{need: 4})
 	n.SetProcess(2, &rollProc{need: 4})
@@ -68,7 +80,17 @@ func restartRun(t *testing.T, batch BatchMode) (*Network, *Result) {
 	if err != nil {
 		t.Fatalf("run (batch=%v): %v", batch, err)
 	}
-	return n, res
+	return n, res, trace
+}
+
+// TestRestartGolden pins the restart run's trace, result, and checkpoint
+// digest to the golden recorded from the per-envelope reference loop.
+func TestRestartGolden(t *testing.T) {
+	for _, batch := range []BatchMode{BatchOff, BatchOn} {
+		n, res, trace := restartTrace(t, batch)
+		checkGolden(t, "restart", runDigest(trace, res, nil))
+		checkGolden(t, "restart/checkpoints", fmt.Sprintf("%x", n.CheckpointDigests()))
+	}
 }
 
 func TestRestartRevivesAndRollsBack(t *testing.T) {
