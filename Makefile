@@ -1,8 +1,8 @@
 # Developer entry points. `make check` is the tier-1 gate (build + vet +
 # tests); `make bench` refreshes the current BENCH_*.json performance
 # snapshot at the repo root and `make bench-compare` diffs it against the
-# previous one; `make race` exercises the parallel experiment engine under
-# the race detector.
+# previous one; `make race` exercises the parallel experiment engine and
+# the pooled run contexts under the race detector.
 
 GO ?= go
 BENCH_OLD ?= BENCH_7.json
@@ -17,7 +17,6 @@ check:
 
 race:
 	$(GO) test -race -run 'TestEngine|TestMapOrdered|TestRunAll|TestSetParallelism|TestSmoke|TestCoreEquivalenceTraces|TestRunContext' ./internal/harness/
-	$(GO) test -race -run 'TestShard' ./internal/sim/
 
 # bench regenerates the committed benchmark snapshot. Seeds are kept small
 # so the refresh stays in the tens of seconds; the snapshot records the
@@ -49,18 +48,18 @@ bench-smoke-refresh:
 e12-smoke:
 	E12_LARGE_SMOKE=1 $(GO) test -run TestE12LargeN512Smoke -v -timeout 20m ./internal/harness/
 
-# e12-xl exercises the n=1024 scale axis the intra-run sharding layer
-# unlocks: the reduced E12-XL slice (E12XLSizes([]int{1024})) at shards=4,
-# ~10M messages per fault-free run, asserting full invariant success.
+# e12-xl exercises the n=1024 scale axis: the reduced E12-XL slice
+# (E12XLSizes([]int{1024})), ~10M messages per fault-free run, asserting
+# full invariant success.
 # The full n=4096 sweep lives in the committed BENCH snapshot (aabench -xl).
 e12-xl:
 	E12_XL_SMOKE=1 $(GO) test -run TestE12XL1024Smoke -v -timeout 30m ./internal/harness/
 
 # incident-replay replays every committed incident bundle in
-# testdata/incidents/ across the {heap, calendar} x {batch on, off} x
-# {1, 8 workers} matrix and diffs each run against the recorded digest.
-# Any divergence reports the episode, the matrix cell, and the first
-# divergent send sequence. Runs in well under a second; wired into CI.
+# testdata/incidents/ at 1 and 8 engine workers and diffs each run against
+# the recorded digest. Any divergence reports the episode, the worker
+# count, and the first divergent send sequence. Runs in well under a
+# second; wired into CI.
 incident-replay:
 	$(GO) test -run 'TestIncidentCorpusReplayMatrix|TestCorpusMutationDetected' -count=1 -v ./internal/incident/
 
@@ -107,4 +106,4 @@ serve-soak:
 # benchmem runs the substrate micro-benchmarks with allocation accounting,
 # the numbers PERF.md tracks.
 benchmem:
-	$(GO) test -run '^$$' -bench 'BenchmarkApproxFuncs|BenchmarkContractionSearch|BenchmarkWire|BenchmarkSimLoop|BenchmarkScenarioE12|BenchmarkRunReused|BenchmarkShardedTick' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkApproxFuncs|BenchmarkContractionSearch|BenchmarkWire|BenchmarkSimLoop|BenchmarkScenarioE12|BenchmarkRunReused' -benchmem .

@@ -15,7 +15,6 @@ import (
 	"repro/internal/multiset"
 	"repro/internal/sched"
 	"repro/internal/serve"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -245,13 +244,10 @@ func BenchmarkContractionSearch(b *testing.B) {
 	microbench.ContractionSearch(b)
 }
 
-// BenchmarkSimLoop measures the raw simulator event loop on each event
-// core — the calendar-queue-vs-heap comparison the large-n sweeps ride on.
-// The bodies live in internal/microbench (shared with cmd/aabench's -json
-// snapshot as "simloop/calendar" and "simloop/heap").
+// BenchmarkSimLoop measures the raw simulator event loop (shared with
+// cmd/aabench's -json snapshot as "simloop/calendar").
 func BenchmarkSimLoop(b *testing.B) {
-	b.Run("calendar", func(b *testing.B) { microbench.SimLoop(b, sim.CoreCalendar) })
-	b.Run("heap", func(b *testing.B) { microbench.SimLoop(b, sim.CoreHeap) })
+	microbench.SimLoop(b)
 }
 
 // BenchmarkScenarioE12 measures one representative E12 unit: a full
@@ -261,29 +257,9 @@ func BenchmarkScenarioE12(b *testing.B) {
 	microbench.ScenarioE12(b)
 }
 
-// BenchmarkDeliverBatch measures the tick-delivery core A/B — batched
-// destination-grouped delivery versus the per-envelope reference loop on
-// the same (observably identical) E12-style run (shared with the snapshot
-// as "deliverbatch/on" and "deliverbatch/off").
-func BenchmarkDeliverBatch(b *testing.B) {
-	b.Run("on", func(b *testing.B) { microbench.DeliverBatch(b, sim.BatchOn) })
-	b.Run("off", func(b *testing.B) { microbench.DeliverBatch(b, sim.BatchOff) })
-}
-
 // BenchmarkRunReused measures a full crash-protocol run on a warm recycled
 // harness.RunContext — the zero-steady-state-allocation engine path
 // (shared with the snapshot as "harness/run-reused").
 func BenchmarkRunReused(b *testing.B) {
 	microbench.RunReused(b)
-}
-
-// BenchmarkShardedTick measures the sharded tick-execution path A/B — the
-// same dense-tick crash run at shards=1 (sequential reference) and
-// shards=4 (partitioned workers + barrier merge). On a single-core host
-// the s4 number reports the merge overhead; the wall-clock win needs
-// GOMAXPROCS > 1 (shared with the snapshot as "shardedtick/s1" and
-// "shardedtick/s4").
-func BenchmarkShardedTick(b *testing.B) {
-	b.Run("s1", func(b *testing.B) { microbench.ShardedTick(b, 1) })
-	b.Run("s4", func(b *testing.B) { microbench.ShardedTick(b, 4) })
 }

@@ -1,27 +1,24 @@
-// Command aabench regenerates every evaluation artifact (experiments E1–E13
-// in DESIGN.md) and prints them as aligned tables, optionally also writing
-// CSV files and a machine-readable benchmark snapshot. This is the
-// one-command reproduction of the paper's claims; EXPERIMENTS.md records a
-// captured run next to the claims themselves, and the BENCH_*.json files at
-// the repo root record the performance trajectory across PRs.
+// Command aabench regenerates every evaluation artifact (experiments
+// E1–E15, listed in README.md) and prints them as aligned tables,
+// optionally also writing CSV files and a machine-readable benchmark
+// snapshot. This is the one-command reproduction of the paper's claims;
+// the BENCH_*.json files at the repo root record the performance
+// trajectory, and PERF.md explains the numbers.
 //
 // Usage:
 //
-//	aabench [-seeds N] [-only E4] [-csv DIR] [-parallel N] [-shards N] [-core calendar|heap] [-batch on|off] [-xl] [-json FILE] [-micro=false]
+//	aabench [-seeds N] [-only E4] [-csv DIR] [-parallel N] [-xl] [-json FILE] [-micro=false]
 //	aabench -compare OLD.json NEW.json
 //
 // Experiments run on the parallel engine (internal/harness worker pool) by
 // default, fanning independent simulation runs across GOMAXPROCS cores;
 // -parallel 1 forces the sequential path (the rendered tables are identical
-// by construction — the determinism tests pin this). -shards controls the
-// second parallelism axis, intra-run sharding (sim.Config.Shards): 0 (the
-// default) auto-sizes per run, 1 forces the sequential reference path, and
-// any count produces identical tables (the shard equivalence tests pin
-// this). -xl appends the E12-XL sharded scaling slice (n ∈ {1024, 4096}) to
-// the experiment set — hours of sequential work, so it is opt-in and the
-// committed full snapshots carry its rows. Every run executes on a recycled
-// harness run context, so per-run state construction is off the measured
-// path (see PERF.md "Run-context recycling").
+// by construction — the determinism tests pin this). -xl appends the E12-XL
+// scaling slice (n ∈ {1024, 4096}) to the experiment set — hours of
+// sequential work, so it is opt-in and the committed full snapshots carry
+// its rows. Every run executes on a recycled harness run context, so
+// per-run state construction is off the measured path (see PERF.md
+// "Run-context recycling").
 //
 // -compare diffs two BENCH_*.json snapshots: a per-experiment delta table
 // (ns/run, msgs/run, bytes/run) and a per-micro delta table (ns/op,
@@ -50,7 +47,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/microbench"
 	"repro/internal/serve"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -63,15 +59,14 @@ func main() {
 // snapshot is the BENCH_*.json schema: one entry per experiment with
 // wall-clock and engine-level run accounting, plus substrate
 // micro-benchmarks (measured via testing.Benchmark, so ns/op and allocs/op
-// mean exactly what `go test -bench -benchmem` means).
+// mean exactly what `go test -bench -benchmem` means). Older snapshots
+// also carry "shards", "core", and "batch" keys from retired simulator
+// modes; decoding ignores them.
 type snapshot struct {
 	Schema      string       `json:"schema"`
 	GoVersion   string       `json:"go"`
 	GOMAXPROCS  int          `json:"gomaxprocs"`
 	Parallelism int          `json:"parallelism"`
-	Shards      int          `json:"shards"`
-	Core        string       `json:"core,omitempty"`
-	Batch       string       `json:"batch,omitempty"`
 	Seeds       int          `json:"seeds"`
 	Generated   string       `json:"generated"`
 	Experiments []expBench   `json:"experiments"`
@@ -111,10 +106,7 @@ func run(args []string) error {
 	only := fs.String("only", "", "comma-separated experiment IDs to run (default: all)")
 	csvDir := fs.String("csv", "", "directory to also write CSV tables into")
 	parallel := fs.Int("parallel", 0, "engine worker count (0 = GOMAXPROCS, 1 = sequential)")
-	shards := fs.Int("shards", 0, "intra-run shard count per simulation (0 = auto, 1 = sequential reference path)")
-	coreName := fs.String("core", "", "simulator event core: calendar | heap (default: the build's default core)")
-	batchName := fs.String("batch", "", "tick delivery mode: on (batched, the default) | off (per-envelope reference loop)")
-	xl := fs.Bool("xl", false, "append the E12-XL sharded scaling slice (n in {1024, 4096}) to the experiment set")
+	xl := fs.Bool("xl", false, "append the E12-XL scaling slice (n in {1024, 4096}) to the experiment set")
 	jsonPath := fs.String("json", "", "file to write a BENCH_*.json benchmark snapshot into")
 	micro := fs.Bool("micro", true, "include the micro-benchmarks in the -json snapshot (disable for fast CI smoke runs)")
 	compareMode := fs.Bool("compare", false, "compare two BENCH_*.json snapshots (args: OLD.json NEW.json) instead of running; exits non-zero when msgs/bytes per run drift")
@@ -129,31 +121,6 @@ func run(args []string) error {
 	}
 	harness.SetParallelism(*parallel)
 	defer harness.SetParallelism(0)
-	if *shards < 0 {
-		return fmt.Errorf("-shards %d: want >= 0 (0 = auto)", *shards)
-	}
-	harness.SetSharding(*shards)
-	defer harness.SetSharding(0)
-	switch *coreName {
-	case "":
-	case "calendar":
-		harness.SetEventCore(sim.CoreCalendar)
-	case "heap":
-		harness.SetEventCore(sim.CoreHeap)
-	default:
-		return fmt.Errorf("unknown event core %q (want calendar or heap)", *coreName)
-	}
-	defer harness.SetEventCore(sim.CoreDefault)
-	switch *batchName {
-	case "":
-	case "on":
-		harness.SetBatching(sim.BatchOn)
-	case "off":
-		harness.SetBatching(sim.BatchOff)
-	default:
-		return fmt.Errorf("unknown batch mode %q (want on or off)", *batchName)
-	}
-	defer harness.SetBatching(sim.BatchDefault)
 	want := map[string]bool{}
 	for _, id := range strings.Split(*only, ",") {
 		if id = strings.TrimSpace(id); id != "" {
@@ -170,9 +137,6 @@ func run(args []string) error {
 		GoVersion:   runtime.Version(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		Parallelism: harness.Parallelism(),
-		Shards:      harness.Sharding(),
-		Core:        harness.EventCore().Resolve().String(),
-		Batch:       harness.Batching().Resolve().String(),
 		Seeds:       *seeds,
 		Generated:   time.Now().UTC().Format(time.RFC3339),
 	}
@@ -187,7 +151,7 @@ func run(args []string) error {
 	if *xl {
 		exps = append(exps, harness.Experiment{
 			ID:    "E12XL",
-			Title: "Sharded large-n scaling slice",
+			Title: "Large-n scaling slice",
 			Run:   harness.E12XL,
 		})
 	}
@@ -281,8 +245,8 @@ func compare(w io.Writer, oldPath, newPath string) error {
 		oldPath, oldSnap.GoVersion, oldSnap.Seeds, oldSnap.Parallelism,
 		newPath, newSnap.GoVersion, newSnap.Seeds, newSnap.Parallelism)
 	if oldSnap.Seeds != newSnap.Seeds || oldSnap.Parallelism != newSnap.Parallelism ||
-		oldSnap.GOMAXPROCS != newSnap.GOMAXPROCS || oldSnap.Shards != newSnap.Shards {
-		fmt.Fprintln(w, "warning: seeds/parallelism/shards/gomaxprocs differ; per-run ratios may not be comparable")
+		oldSnap.GOMAXPROCS != newSnap.GOMAXPROCS {
+		fmt.Fprintln(w, "warning: seeds/parallelism/gomaxprocs differ; per-run ratios may not be comparable")
 	}
 
 	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)

@@ -1,10 +1,13 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/microbench"
 )
 
 func TestRunSingleExperimentWithCSV(t *testing.T) {
@@ -87,6 +90,61 @@ func TestCompareSnapshots(t *testing.T) {
 	}
 	if err := run([]string{"-compare", oldPath, bad}); err == nil {
 		t.Error("unknown schema accepted")
+	}
+
+	// The committed snapshots predate the retirement of the simulator's
+	// mode switches: they carry "shards"/"core"/"batch" keys, and BENCH_8
+	// has the simloop/heap, deliverbatch and shardedtick micros. -compare
+	// must still read them and find no traffic drift against a
+	// current-schema snapshot of the same runs, listing the retired micros
+	// as removed.
+	live := map[string]bool{}
+	for _, c := range microbench.Cases() {
+		live[c.Name] = true
+	}
+	for _, committed := range []string{"BENCH_8.json", "BENCH_SMOKE.json"} {
+		path := filepath.Join("..", "..", committed)
+		snap, err := readSnapshot(path)
+		if err != nil {
+			t.Fatalf("%s: %v", committed, err)
+		}
+		retired := 0
+		kept := snap.Micro[:0]
+		for _, m := range snap.Micro {
+			if live[m.Name] {
+				kept = append(kept, m)
+			} else {
+				retired++
+			}
+		}
+		snap.Micro = kept
+		data, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(data), `"shards"`) {
+			t.Errorf("%s: current schema still writes retired mode keys", committed)
+		}
+		current := filepath.Join(dir, "current-"+committed)
+		if err := os.WriteFile(current, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		if err := compare(&out, path, current); err != nil {
+			t.Errorf("%s vs current schema: %v", committed, err)
+		}
+		removed := 0
+		for _, line := range strings.Split(out.String(), "\n") {
+			if strings.Contains(line, "removed") {
+				removed++
+			}
+		}
+		if removed != retired {
+			t.Errorf("%s: %d removed rows, want %d retired micros:\n%s", committed, removed, retired, out.String())
+		}
+	}
+	if !live["simloop/calendar"] || live["simloop/heap"] {
+		t.Error("micro inventory: want simloop/calendar kept and simloop/heap retired")
 	}
 }
 

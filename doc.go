@@ -6,9 +6,8 @@
 //
 // The public API lives in repro/aa; the protocol family, the asynchronous
 // network simulator, the adversary suite, and the experiment harness live
-// under internal/. See README.md for a tour, DESIGN.md for the system
-// inventory and proofs, and EXPERIMENTS.md for the measured reproduction of
-// every evaluation table and figure.
+// under internal/. See README.md for a tour of the system and its
+// evaluation tables, and PERF.md for the measured performance numbers.
 //
 // # Performance architecture
 //
@@ -23,7 +22,7 @@
 // a timing wheel of one-tick FIFO buckets over the near future, an
 // overflow heap for far-future events, and a flat event arena recycled
 // through a free list, so enqueue and dequeue are amortized O(1) per
-// event instead of the binary heap's O(log M) — the difference that makes
+// event instead of a binary heap's O(log M) — the difference that makes
 // the E12 large-n sweeps (n up to 512, ~2.6M messages per run at the top)
 // practical. The Run loop drains one virtual-time tick per batch and
 // delivers dense ticks batched by destination: each party consumes its
@@ -31,30 +30,10 @@
 // per-envelope shim for processes that don't opt in), hot per-party
 // simulator state lives in flat struct-of-arrays on the Network, and
 // sends emitted mid-tick are deferred and flushed in trigger order so the
-// batched loop's Seq and scheduler-rng streams are exactly the
-// per-envelope loop's. The heap remains as the reference core behind
-// sim.Config.Core (build default switchable with `-tags simheap`) and the
-// per-envelope loop as the reference delivery mode behind
-// sim.Config.Batch; equivalence tests pin event-for-event identical
-// delivery traces and byte-identical experiment tables across both
-// switches, and cmd/aabench -core / -batch benchmark them against each
-// other.
-//
-// Within a batched tick the destination groups are independent work
-// units, and internal/sim shards them: parties partition into S
-// contiguous shards (sim.Config.Shards / harness.SetSharding / aabench
-// -shards; auto picks min(GOMAXPROCS, n/128)) and S workers drain their
-// shard's groups concurrently, each staging sends, timers, decisions,
-// stats, and payload snapshots into worker-local state. A tick-end
-// barrier merges the per-worker op lists by global trigger index and
-// feeds the same stable trigger-ordered flush, so Seq assignment,
-// scheduler-rng draws, and fate decisions replay the sequential streams
-// exactly — experiment tables are byte-identical at every shard count,
-// which is what makes the E12-XL sizes (n = 1024 and 4096, ~170M
-// messages for one fault-free n=4096 run) tractable on multi-core
-// hosts. Warm sharded runs keep the zero-allocation steady state: the
-// worker fleet, its pend lists, and its payload arenas all recycle
-// through Network.Reset.
+// Seq and scheduler-rng streams are exactly those of per-envelope
+// delivery. This is the simulator's only execution path, one goroutine
+// per run; golden table and trace digests, recorded while reference
+// paths still existed and agreed with it, pin its behaviour.
 //
 // Adversary wiring is declarative: internal/scenario turns a scheduler, a
 // fault composition, and a run shape into one registry-validated
@@ -74,8 +53,8 @@
 // harness.RunContext whose simulator (sim.Network.Reset), protocol
 // parties (core.*.Reset), and reliable-broadcast slabs
 // (rbc.Broadcaster.Reset) are reset in place — provably equivalent to
-// fresh construction, pinned by byte-identical experiment tables with
-// recycling on and off — so a warm worker executes an entire
+// fresh construction, pinned by comparing a warm context's reports with
+// fresh contexts' — so a warm worker executes an entire
 // scheduler×seed×n sweep with zero steady-state heap allocations on the
 // reused-report path (testing.AllocsPerRun pins exactly 0 for the crash,
 // trim, and witness protocols).
@@ -145,10 +124,9 @@
 // the drop/dup fate log for lossy runs, v3 adds per-party checkpoint
 // digests for recovery runs, and fate-free bundles stay byte-identical
 // to v1. The
-// committed corpus under testdata/incidents/ replays in CI across both
-// event cores, both delivery modes, and 1/8 workers (`make
-// incident-replay`), so a schedule-equivalence regression anywhere in the
-// stack surfaces with the episode name and the exact send where the
+// committed corpus under testdata/incidents/ replays in CI at 1 and 8
+// workers (`make incident-replay`), so a schedule regression anywhere in
+// the stack surfaces with the episode name and the exact send where the
 // execution first forked.
 //
 // PERF.md records the measured before/after numbers; the BENCH_*.json

@@ -204,8 +204,8 @@ func (a *AsyncAA) Deliver(from sim.PartyID, data []byte) {
 // DeliverBatch implements sim.BatchProcess: one call per virtual-time tick,
 // with the per-message work reduced to decode plus an O(1) bucket insert —
 // the quorum check and the (per-round, not per-message) view reduce happen
-// at the same per-envelope points as unbatched delivery, so the two paths
-// are observably identical.
+// at the same per-envelope points as Deliver, so the two paths are
+// observably identical.
 func (a *AsyncAA) DeliverBatch(b *sim.Batch) {
 	for env := b.Next(); env != nil; env = b.Next() {
 		a.deliver(env.From, env.Data)

@@ -379,7 +379,7 @@ func (a *amplifierProc) Deliver(_ sim.PartyID, data []byte) {
 }
 
 // DeliverBatch implements sim.BatchProcess; re-blasts keep their exact
-// per-envelope trigger points, so batched and unbatched runs are
+// per-envelope trigger points, so batched and per-envelope delivery are
 // observably identical.
 func (a *amplifierProc) DeliverBatch(b *sim.Batch) {
 	for env := b.Next(); env != nil; env = b.Next() {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -30,24 +29,10 @@ import (
 // the stack re-derives all run-visible state from its arguments (reseeded
 // rand sources produce identical streams; cleared maps and re-zeroed
 // bitsets are observably empty; recycled slabs are re-zeroed before
-// reuse) — the same deferred-quiescent style of argument PR 2 used for
-// rbc.ReleaseRound. TestRunContextReuseByteIdentical pins it end to end:
-// every experiment table renders byte-identically with recycling on and
-// off, at engine parallelism 1 and 8.
-
-// noRecycling, when set, makes the package-level Run build a fresh
-// RunContext per run instead of drawing from the pool — the
-// fresh-construction baseline the equivalence tests compare against.
-var noRecycling atomic.Bool
-
-// SetStateRecycling toggles run-context recycling for the package-level
-// Run (and therefore RunAll and every experiment driver). It is on by
-// default; the byte-identity tests switch it off to regenerate tables with
-// per-run fresh construction.
-func SetStateRecycling(on bool) { noRecycling.Store(!on) }
-
-// StateRecycling reports whether run-context recycling is enabled.
-func StateRecycling() bool { return !noRecycling.Load() }
+// reuse) — the same deferred-quiescent style of argument rbc.ReleaseRound
+// rests on. TestRunContextReuseByteIdentical pins it end to end: one warm
+// context running a mixed-shape spec list reports exactly what a fresh
+// context per spec does.
 
 // ctxPool recycles run contexts across runs and across the engine's worker
 // goroutines. sync.Pool's per-P caching gives each pool worker an
@@ -55,18 +40,9 @@ func StateRecycling() bool { return !noRecycling.Load() }
 // GC drop contexts (with their arenas) under memory pressure.
 var ctxPool = sync.Pool{New: func() any { return NewRunContext() }}
 
-func acquireContext() *RunContext {
-	if noRecycling.Load() {
-		return NewRunContext()
-	}
-	return ctxPool.Get().(*RunContext)
-}
+func acquireContext() *RunContext { return ctxPool.Get().(*RunContext) }
 
-func releaseContext(c *RunContext) {
-	if !noRecycling.Load() {
-		ctxPool.Put(c)
-	}
-}
+func releaseContext(c *RunContext) { ctxPool.Put(c) }
 
 // RunContext is a reusable execution context: a resettable simulator, a
 // pool of resettable protocol parties per protocol family, and reusable
@@ -227,9 +203,6 @@ func (c *RunContext) run(spec Spec, rep *Report) error {
 		Crashes:   spec.Crashes,
 		Restarts:  spec.Restarts,
 		MaxEvents: spec.MaxEvents,
-		Core:      EventCore(),
-		Batch:     Batching(),
-		Shards:    Sharding(),
 	}
 	// Park the previous run's Byzantine processes in the pool before
 	// clearing the map (the start-of-run point also covers error returns,

@@ -22,7 +22,7 @@ func E12LargeN() (*trace.Table, error) {
 }
 
 // E12LargeNSizes is E12LargeN with a custom size sweep (the benchmark
-// suite and the core-equivalence tests use smaller sizes to keep iteration
+// suite and the golden-table test use smaller sizes to keep iteration
 // time sane). One seed per scenario: the point is scale and composition
 // coverage, not seed statistics — E1–E9 own those.
 func E12LargeNSizes(sizes []int) (*trace.Table, error) {
@@ -83,12 +83,11 @@ func E12LargeNSizes(sizes []int) (*trace.Table, error) {
 	return tbl, nil
 }
 
-// E12XL is the extra-large-n slice that the intra-run sharding layer exists
-// for: n ∈ {1024, 4096}. It is not part of the default Experiments()
-// registry — a single n=4096 run pushes ~170M messages, far past the CI and
-// equivalence-matrix budgets — and is reached through aabench -xl (the
-// committed BENCH snapshots carry its rows) and the reduced `make e12-xl`
-// CI slice, which runs E12XLSizes([]int{1024}) at shards=4.
+// E12XL is the extra-large-n slice: n ∈ {1024, 4096}. It is not part of
+// the default Experiments() registry — a single n=4096 run pushes ~170M
+// messages, far past the CI budget — and is reached through aabench -xl
+// (the committed BENCH snapshots carry its rows) and the reduced
+// `make e12-xl` CI slice, which runs E12XLSizes([]int{1024}).
 func E12XL() (*trace.Table, error) {
 	return E12XLSizes([]int{1024, 4096})
 }
@@ -98,7 +97,7 @@ func E12XL() (*trace.Table, error) {
 // two schedulers — because at these sizes each row is minutes of sequential
 // work; breadth lives in E12LargeN, this sweep measures scale.
 func E12XLSizes(sizes []int) (*trace.Table, error) {
-	tbl := trace.NewTable("E12-XL: sharded large-n scaling slice (crash-aa at (n-1)/2, eps=1e-3, bimodal inputs over [0,1])",
+	tbl := trace.NewTable("E12-XL: large-n scaling slice (crash-aa at (n-1)/2, eps=1e-3, bimodal inputs over [0,1])",
 		"scenario", "protocol", "virt-rounds", "msgs", "deliveries", "final-spread", "ok")
 
 	crashT := func(n int) int { return (n - 1) / 2 }

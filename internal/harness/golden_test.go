@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"fmt"
 	"maps"
@@ -9,9 +8,10 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -34,7 +34,6 @@ func regenGoldens() bool { return os.Getenv("TABLES_REGEN") != "" }
 // goldenFile is one testdata digest file: "key digest" lines, sorted.
 type goldenFile struct {
 	name string
-	mu   sync.Mutex
 	want map[string]string
 	got  map[string]string
 }
@@ -45,21 +44,16 @@ func loadGolden(t *testing.T, name string) *goldenFile {
 	if regenGoldens() {
 		return g
 	}
-	f, err := os.Open(filepath.Join("testdata", name))
+	data, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatalf("%v (run with TABLES_REGEN=1 to generate)", err)
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		key, digest, ok := strings.Cut(sc.Text(), " ")
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		key, digest, ok := strings.Cut(line, " ")
 		if !ok {
-			t.Fatalf("%s: malformed line %q", name, sc.Text())
+			t.Fatalf("%s: malformed line %q", name, line)
 		}
 		g.want[key] = digest
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
 	}
 	return g
 }
@@ -68,9 +62,7 @@ func loadGolden(t *testing.T, name string) *goldenFile {
 // golden one.
 func (g *goldenFile) check(t *testing.T, key, digest string) {
 	t.Helper()
-	g.mu.Lock()
 	g.got[key] = digest
-	g.mu.Unlock()
 	if regenGoldens() {
 		return
 	}
@@ -144,6 +136,67 @@ func TestTablesGolden(t *testing.T) {
 		g.check(t, id, sha(rendered))
 	}
 	g.finish(t)
+}
+
+// deliveryRecord is one observed delivery, in observer order.
+type deliveryRecord struct {
+	Now      sim.Time
+	From, To sim.PartyID
+	Seq      uint64
+	Len      int
+}
+
+// TestCoreEquivalenceTraces runs the full scheduler suite × fault matrix
+// with a delivery-trace observer and compares each run's trace, stats,
+// and decisions to testdata/traces.golden. The digests were recorded from
+// the binary-heap reference core and agreed with every other event core,
+// delivery mode, and shard count, so this pins the single execution path
+// to the traces of the retired reference paths.
+func TestCoreEquivalenceTraces(t *testing.T) {
+	g := loadGolden(t, tracesGolden)
+	defer g.finish(t)
+	faultKinds := []string{"", "crash", "silent", "extreme", "equivocate", "spam", "amplifier"}
+	for _, faultKind := range faultKinds {
+		// Crash-kind (and fault-free) runs use the crash protocol at its
+		// bound; Byzantine kinds need a Byzantine-tolerant protocol — the
+		// witness protocol, whose RBC traffic is the hardest queue load.
+		p := core.Params{Protocol: core.ProtoCrash, N: 9, T: 4, Eps: 1e-3, Lo: 0, Hi: 1}
+		var faults []string
+		switch faultKind {
+		case "":
+		case "crash":
+			faults = []string{"crash"}
+		default:
+			p = core.Params{Protocol: core.ProtoWitness, N: 7, T: 2, Eps: 1e-3, Lo: 0, Hi: 1}
+			faults = []string{faultKind}
+		}
+		for _, scen := range scenario.Suite(p.N, p.T, faults...) {
+			name := scen.String()
+			if faultKind == "" {
+				name = scen.Sched + "+none"
+			}
+			t.Run(name, func(t *testing.T) {
+				spec, err := SpecFrom(p, BimodalInputs(p.N, 0, 1), scen, 11)
+				if err != nil {
+					t.Fatalf("%s: %v", scen, err)
+				}
+				var trace []deliveryRecord
+				spec.Observer = func(now sim.Time, env sim.Envelope) {
+					trace = append(trace, deliveryRecord{
+						Now: now, From: env.From, To: env.To, Seq: env.Seq, Len: len(env.Data),
+					})
+				}
+				rep, err := Run(spec)
+				if err != nil {
+					t.Fatalf("%s: %v", scen, err)
+				}
+				if len(trace) == 0 {
+					t.Fatal("empty delivery trace")
+				}
+				g.check(t, name, traceDigest(trace, rep.Result))
+			})
+		}
+	}
 }
 
 // traceDigest hashes a delivery trace plus the run's result.

@@ -53,7 +53,7 @@ type Spec struct {
 	// RecordTrajectory enables diameter-over-time sampling.
 	RecordTrajectory bool
 	// Observer, when non-nil, sees every delivery (before the trajectory
-	// sampler). The core-equivalence tests use it to record full traces.
+	// sampler). The golden trace test uses it to record full traces.
 	// Under batched delivery (the default) a dense tick's callbacks
 	// replay at tick end in delivery order, so an observer reading live
 	// protocol state sees end-of-tick state; the callback sequence itself
@@ -156,7 +156,7 @@ func SpecFrom(p core.Params, inputs []float64, scen scenario.Spec, seed int64) (
 // context from the package pool (see context.go), so the simulator wheel,
 // protocol party state, and RBC slabs of earlier runs are reused rather
 // than rebuilt; the returned Report is freshly allocated and safe to
-// retain. SetStateRecycling(false) switches to per-run fresh construction.
+// retain.
 func Run(spec Spec) (*Report, error) {
 	c := acquireContext()
 	defer releaseContext(c)

@@ -51,55 +51,21 @@ func Parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// eventCore selects the simulator event queue for every engine run. The
-// cores are trace-equivalent (pinned by the core-equivalence tests); the
-// switch exists for those tests and for cross-core benchmarking
-// (cmd/aabench -core).
-var eventCore atomic.Int32
+// EventCore reports the retired event-core switch, which is always zero.
+//
+// Deprecated: the simulator has one event queue.
+func EventCore() sim.EventCore { return 0 }
 
-// SetEventCore selects the simulator event core used by Run (and therefore
-// every experiment). sim.CoreDefault restores the build's default.
-func SetEventCore(c sim.EventCore) { eventCore.Store(int32(c)) }
+// Batching reports the retired delivery-mode switch, which is always zero.
+//
+// Deprecated: the simulator has one delivery path.
+func Batching() sim.BatchMode { return 0 }
 
-// EventCore reports the event core currently in effect.
-func EventCore() sim.EventCore { return sim.EventCore(eventCore.Load()) }
-
-// batchMode selects batched versus per-envelope tick delivery for every
-// engine run. The modes are observably equivalent (pinned by the batch
-// equivalence tests); the switch exists for those tests and for A/B
-// benchmarking (cmd/aabench -batch).
-var batchMode atomic.Int32
-
-// SetBatching selects the simulator delivery mode used by Run (and
-// therefore every experiment). sim.BatchDefault restores the default
-// (batched).
-func SetBatching(m sim.BatchMode) { batchMode.Store(int32(m)) }
-
-// Batching reports the delivery mode currently in effect.
-func Batching() sim.BatchMode { return sim.BatchMode(batchMode.Load()) }
-
-// sharding selects the intra-run shard count for every engine run
-// (sim.Config.Shards). All shard counts are observably equivalent (pinned
-// by the shard equivalence tests); the switch exists for those tests and
-// for scaling benchmarks (cmd/aabench -shards). Note the two parallelism
-// axes compose: Parallelism() fans independent runs across workers, while
-// sharding splits the ticks of each single run — the auto heuristic keeps
-// small runs sequential so the axes don't fight over cores on the mixed
-// sweeps.
-var sharding atomic.Int32
-
-// SetSharding sets the intra-run shard count used by Run (and therefore
-// every experiment). 1 forces the sequential reference path; 0 restores
-// the default (auto: min(GOMAXPROCS, n/128)).
-func SetSharding(n int) {
-	if n < 0 {
-		n = 0
-	}
-	sharding.Store(int32(n))
-}
-
-// Sharding reports the intra-run shard count currently in effect.
-func Sharding() int { return int(sharding.Load()) }
+// Sharding reports the retired intra-run shard count, which is always
+// zero.
+//
+// Deprecated: every run executes on one goroutine.
+func Sharding() int { return 0 }
 
 // EngineStats aggregates run-level accounting across every engine-executed
 // simulation since the last reset. cmd/aabench snapshots it around each

@@ -2,108 +2,128 @@ package harness
 
 import (
 	"errors"
+	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/scenario"
-	"repro/internal/trace"
 )
 
 // This file pins the run-context recycling contract from two sides:
 //
-//   - Equivalence: every experiment table renders byte-identically whether
-//     runs execute on recycled contexts or on per-run fresh construction,
-//     at engine parallelism 1 and 8. Together with the determinism tests
-//     this proves Reset is observably equivalent to New across the whole
-//     stack (simulator, protocols, RBC).
+//   - Equivalence: one warm context running a mixed-shape spec list reports
+//     exactly what a fresh context per spec does. Together with the
+//     determinism tests this proves Reset is observably equivalent to New
+//     across the whole stack (simulator, protocols, RBC, relnet).
 //   - Economy: a warm context executes full protocol runs with zero
 //     steady-state heap allocations on the reused-report path.
 
-// renderRecycled renders the listed experiments (plus a reduced E12) with
-// the given recycling setting and worker count.
-func renderRecycled(t *testing.T, recycle bool, workers int) map[string]string {
+// reportString renders every field of a report, so two reports compare
+// equal exactly when their strings do.
+func reportString(rep *Report) string {
+	var sb strings.Builder
+	r := rep.Result
+	fmt.Fprintf(&sb, "err=%v proto=%v hull=[%v,%v] spread=%v->%v valid=%v agree=%v\n",
+		rep.RunErr, rep.ProtoErrs, rep.HullLo, rep.HullHi, rep.InitialSpread, rep.FinalSpread,
+		rep.ValidityOK, rep.AgreementOK)
+	fmt.Fprintf(&sb, "transport=%+v checkpoints=%x trajectory=%v\n", rep.Transport, rep.Checkpoints, rep.Trajectory)
+	fmt.Fprintf(&sb, "stats=%+v finish=%d maxdelay=%d honest=%v\n",
+		r.Stats, r.FinishTime, r.MaxHonestDelay, r.Honest)
+	for _, id := range slices.Sorted(maps.Keys(r.Decisions)) {
+		fmt.Fprintf(&sb, "%d %v %d\n", id, r.Decisions[id], r.DecidedAt[id])
+	}
+	return sb.String()
+}
+
+// checkWarmEqualsFresh runs specs in order through one shared warm context
+// and each through its own NewRunContext, and fails on any report diff.
+func checkWarmEqualsFresh(t *testing.T, labels []string, specs []Spec) {
 	t.Helper()
-	SetStateRecycling(recycle)
-	SetParallelism(workers)
-	defer SetStateRecycling(true)
-	defer SetParallelism(0)
-	out := make(map[string]string)
-	for _, exp := range Experiments(1) {
-		run := exp.Run
-		if exp.ID == "E12" {
-			// The full E12 sweep exists to measure large n, not to gate it;
-			// the reduced sizes exercise the same driver and aggregation.
-			run = func() (*trace.Table, error) { return E12LargeNSizes([]int{16, 32}) }
-		}
-		tbl, err := run()
+	warm := NewRunContext()
+	for i, spec := range specs {
+		got, err := warm.Run(spec)
 		if err != nil {
-			t.Fatalf("%s (recycle=%v, workers=%d): %v", exp.ID, recycle, workers, err)
+			t.Fatalf("%s (warm): %v", labels[i], err)
 		}
-		var sb strings.Builder
-		if err := tbl.Render(&sb); err != nil {
-			t.Fatal(err)
+		gotS := reportString(got)
+		want, err := NewRunContext().Run(spec)
+		if err != nil {
+			t.Fatalf("%s (fresh): %v", labels[i], err)
 		}
-		out[exp.ID] = sb.String()
+		if wantS := reportString(want); gotS != wantS {
+			t.Errorf("%s: warm context diverges from fresh:\n--- fresh ---\n%s--- warm ---\n%s", labels[i], wantS, gotS)
+		}
 	}
-	return out
 }
 
-// TestRunContextReuseByteIdentical regenerates the full E1–E12 table set
-// with run-context recycling on and off, at one worker and at eight, and
-// asserts byte-identical renderings. Any state leaking across a Reset —
-// in the simulator, a protocol party, or an RBC slab — would perturb some
-// run's delivery schedule or decision and surface as a table diff.
+// TestRunContextReuseByteIdentical drives one context through a spec list
+// that changes protocol, n, fault composition, transport, restart plans,
+// and trajectory recording between consecutive runs — the E12 usage
+// pattern and beyond — and checks every report against a fresh context's. Any state leaking across a Reset — in
+// the simulator, a protocol party, an RBC slab, or a relnet link — would
+// perturb some run's schedule or decision and surface as a report diff.
 func TestRunContextReuseByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("renders every experiment table four times; run without -short")
-	}
-	want := renderRecycled(t, false, 1) // fresh construction, sequential: the reference
-	for _, cfg := range []struct {
-		recycle bool
-		workers int
+	cases := []struct {
+		p        core.Params
+		scen     string
+		reliable bool
+		traj     bool
 	}{
-		{true, 1},
-		{true, 8},
-		{false, 8},
-	} {
-		got := renderRecycled(t, cfg.recycle, cfg.workers)
-		for id, ref := range want {
-			if got[id] != ref {
-				t.Errorf("%s diverges (recycle=%v, workers=%d):\n--- reference ---\n%s\n--- got ---\n%s",
-					id, cfg.recycle, cfg.workers, ref, got[id])
-			}
-		}
+		{core.Params{Protocol: core.ProtoCrash, N: 9, T: 4, Eps: 1e-3, Lo: 0, Hi: 1}, "random+crash/n=9,t=4", false, false},
+		{core.Params{Protocol: core.ProtoWitness, N: 7, T: 2, Eps: 1e-3, Lo: 0, Hi: 1}, "splitviews/n=7,t=2", false, false},
+		{core.Params{Protocol: core.ProtoCrash, N: 17, T: 8, Eps: 1e-3, Lo: 0, Hi: 1}, "skew+crash/n=17,t=8", false, false},
+		{core.Params{Protocol: core.ProtoWitness, N: 13, T: 4, Eps: 1e-3, Lo: 0, Hi: 1}, "partition+equivocate/n=13,t=4", false, false},
+		{core.Params{Protocol: core.ProtoSync, N: 9, T: 2, Eps: 1e-3, Lo: 0, Hi: 1, RoundDuration: 10}, "sync:5/n=9,t=2", false, false},
+		{core.Params{Protocol: core.ProtoByzTrim, N: 15, T: 2, Eps: 1e-3, Lo: 0, Hi: 1}, "staggered+extreme/n=15,t=2", false, true},
+		{core.Params{Protocol: core.ProtoCrash, N: 10, T: 4, Eps: 1e-3, Lo: 0, Hi: 1}, "random+loss:0.05/n=10,t=4", true, false},
+		{core.Params{Protocol: core.ProtoCrash, N: 9, T: 2, Eps: 1e-3, Lo: 0, Hi: 1, Adaptive: true}, "random+recover:2:50:30/n=9,t=2", true, false},
+		{core.Params{Protocol: core.ProtoByzTrim, N: 15, T: 2, Eps: 1e-3, Lo: 0, Hi: 1}, "splitviews+amplifier/n=15,t=2", false, true},
+		{core.Params{Protocol: core.ProtoCrash, N: 34, T: 16, Eps: 1e-3, Lo: 0, Hi: 1}, "random+crash/n=34,t=16", false, false},
+		{core.Params{Protocol: core.ProtoCrash, N: 9, T: 4, Eps: 1e-3, Lo: 0, Hi: 1}, "random+crash/n=9,t=4", false, false},
 	}
+	var labels []string
+	var specs []Spec
+	for _, c := range cases {
+		spec, err := SpecFrom(c.p, BimodalInputs(c.p.N, 0, 1), scenario.MustParse(c.scen), 23)
+		if err != nil {
+			t.Fatalf("%s: %v", c.scen, err)
+		}
+		spec.Reliable = c.reliable
+		spec.RecordTrajectory = c.traj
+		labels = append(labels, c.scen)
+		specs = append(specs, spec)
+	}
+	checkWarmEqualsFresh(t, labels, specs)
 }
 
-// TestRunContextReuseByteIdenticalLargeN is the large-n arm of the
-// equivalence pin: the reduced sizes above never engage the calendar
-// queue's overflow migration, multi-block payload turnover, or the
-// party-pool shrink path the way n ≥ 64 message volumes do, so one
-// render of the E12 driver at n ∈ {64, 128} (mixed shapes force contexts
-// to grow and shrink mid-sweep) is compared recycled-vs-fresh at the
-// full worker count.
+// TestRunContextReuseByteIdenticalLargeN is the large-n arm: the list
+// above never engages the calendar queue's overflow migration,
+// multi-block payload turnover, or the party-pool shrink path the way
+// n ≥ 64 message volumes do, so the E12 scenario set at n ∈ {64, 128}
+// (sizes alternate, forcing the context to grow and shrink) runs through
+// one warm context and is checked against fresh contexts.
 func TestRunContextReuseByteIdenticalLargeN(t *testing.T) {
 	if testing.Short() {
-		t.Skip("renders a large-n E12 sweep twice; run without -short")
+		t.Skip("runs a large-n sweep twice; run without -short")
 	}
-	render := func(recycle bool) string {
-		SetStateRecycling(recycle)
-		defer SetStateRecycling(true)
-		tbl, err := E12LargeNSizes([]int{64, 128})
+	scens := scenario.Cross(scenario.SuiteSchedulers(), [][]string{nil, {"crash"}}, []int{64, 128},
+		func(n int) int { return (n - 1) / 2 })
+	var labels []string
+	var specs []Spec
+	for _, scen := range scens {
+		p := core.Params{Protocol: core.ProtoCrash, N: scen.N, T: scen.T, Eps: 1e-3, Lo: 0, Hi: 1}
+		spec, err := SpecFrom(p, BimodalInputs(scen.N, 0, 1), scen, 17)
 		if err != nil {
-			t.Fatalf("E12 large-n (recycle=%v): %v", recycle, err)
-		}
-		var sb strings.Builder
-		if err := tbl.Render(&sb); err != nil {
 			t.Fatal(err)
 		}
-		return sb.String()
+		spec.MaxEvents = 20_000_000
+		labels = append(labels, scen.String())
+		specs = append(specs, spec)
 	}
-	if fresh, recycled := render(false), render(true); fresh != recycled {
-		t.Errorf("large-n E12 diverges:\n--- fresh ---\n%s\n--- recycled ---\n%s", fresh, recycled)
-	}
+	checkWarmEqualsFresh(t, labels, specs)
 }
 
 // TestRunReusedAllocs pins the tentpole economy claim: after a one-run
@@ -129,6 +149,10 @@ func TestRunReusedAllocs(t *testing.T) {
 		// path rides the same zero-alloc budget as the raw one.
 		{"crash-aa-reliable", core.Params{Protocol: core.ProtoCrash, N: 10, T: 4, Eps: 1e-3, Lo: 0, Hi: 1},
 			"random+loss:0.05/n=10,t=4", true},
+		// n=34 multicast storms make 1156-event ticks: the batched
+		// delivery path's staging, deferred ops, and iterator recycle too.
+		{"crash-aa-dense", core.Params{Protocol: core.ProtoCrash, N: 34, T: 16, Eps: 1e-3, Lo: 0, Hi: 1},
+			"random+crash/n=34,t=16", false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -261,42 +285,3 @@ func TestTrajectoryReusedAllocs(t *testing.T) {
 }
 
 var errNoTrajectory = errors.New("no trajectory recorded")
-
-// TestRunContextSurvivesShapeChanges drives one context through a sweep
-// that changes protocol, n, and fault composition between consecutive runs
-// — the E12 usage pattern — and checks each report against a fresh-context
-// run of the same spec.
-func TestRunContextSurvivesShapeChanges(t *testing.T) {
-	specs := []struct {
-		p    core.Params
-		scen string
-	}{
-		{core.Params{Protocol: core.ProtoCrash, N: 9, T: 4, Eps: 1e-3, Lo: 0, Hi: 1}, "random+crash/n=9,t=4"},
-		{core.Params{Protocol: core.ProtoWitness, N: 7, T: 2, Eps: 1e-3, Lo: 0, Hi: 1}, "splitviews/n=7,t=2"},
-		{core.Params{Protocol: core.ProtoCrash, N: 17, T: 8, Eps: 1e-3, Lo: 0, Hi: 1}, "skew+crash/n=17,t=8"},
-		{core.Params{Protocol: core.ProtoWitness, N: 13, T: 4, Eps: 1e-3, Lo: 0, Hi: 1}, "partition+equivocate/n=13,t=4"},
-		{core.Params{Protocol: core.ProtoSync, N: 9, T: 2, Eps: 1e-3, Lo: 0, Hi: 1, RoundDuration: 10}, "sync:5/n=9,t=2"},
-		{core.Params{Protocol: core.ProtoByzTrim, N: 15, T: 2, Eps: 1e-3, Lo: 0, Hi: 1}, "staggered+extreme/n=15,t=2"},
-	}
-	ctx := NewRunContext()
-	for _, c := range specs {
-		spec, err := SpecFrom(c.p, BimodalInputs(c.p.N, 0, 1), scenario.MustParse(c.scen), 23)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ctx.Run(spec)
-		if err != nil {
-			t.Fatalf("%s: %v", c.scen, err)
-		}
-		want, err := NewRunContext().Run(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.OK() != want.OK() || got.FinalSpread != want.FinalSpread ||
-			got.Result.Stats != want.Result.Stats ||
-			got.Result.FinishTime != want.Result.FinishTime {
-			t.Errorf("%s: recycled run diverges from fresh: got %+v stats %+v, want %+v stats %+v",
-				c.scen, got.FinalSpread, got.Result.Stats, want.FinalSpread, want.Result.Stats)
-		}
-	}
-}

@@ -47,8 +47,8 @@ func Episodes() []*Bundle {
 		{
 			// A deliberately tiny event budget aborts a dense n=32 run in
 			// the middle of a batched tick: the abort must happen after the
-			// same delivery in every mode (budget-tripping ticks run the
-			// reference loop).
+			// recorded delivery (budget-tripping ticks are delivered
+			// envelope by envelope).
 			Name:      "budget-abort-mid-tick",
 			Scenario:  "random/n=32,t=5",
 			Protocol:  ProtoCrash,

@@ -13,8 +13,8 @@
 // content differs, a missing delivery, a moved decision — is reported with
 // the first divergent send sequence, which is the exact point to set a
 // breakpoint on. The committed corpus under testdata/incidents/ replays in
-// CI across {heap, calendar} event cores × batch on/off × parallelism 1/8,
-// turning every future perf refactor's equivalence argument into data.
+// CI at engine parallelism 1 and 8, turning every future perf refactor's
+// equivalence argument into data.
 package incident
 
 import (

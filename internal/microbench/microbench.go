@@ -47,13 +47,8 @@ func Cases() []Case {
 		{"wire/value-roundtrip", WireRoundtrip},
 		{"wire/value-append-reuse", WireAppendReuse},
 		{"rbc/round", RBCRound},
-		{"simloop/calendar", func(b *testing.B) { SimLoop(b, sim.CoreCalendar) }},
-		{"simloop/heap", func(b *testing.B) { SimLoop(b, sim.CoreHeap) }},
+		{"simloop/calendar", SimLoop},
 		{"scenario/e12", ScenarioE12},
-		{"deliverbatch/on", func(b *testing.B) { DeliverBatch(b, sim.BatchOn) }},
-		{"deliverbatch/off", func(b *testing.B) { DeliverBatch(b, sim.BatchOff) }},
-		{"shardedtick/s1", func(b *testing.B) { ShardedTick(b, 1) }},
-		{"shardedtick/s4", func(b *testing.B) { ShardedTick(b, 4) }},
 		{"harness/run-reused", RunReused},
 	}
 }
@@ -87,19 +82,17 @@ func (p *stormProc) send(k int) {
 
 func (p *stormProc) Deliver(sim.PartyID, []byte) { p.send(1) }
 
-// SimLoop measures the raw simulator event loop on the selected core: 64
-// parties, ~19k messages per iteration, delays spread over two hundred
-// ticks so the calendar queue's wheel (and the heap's depth) both see
-// realistic occupancy. This is the microbenchmark behind the calendar-
-// versus-heap acceptance numbers in PERF.md.
-func SimLoop(b *testing.B, eventCore sim.EventCore) {
+// SimLoop measures the raw simulator event loop: 64 parties, ~19k
+// messages per iteration, delays spread over two hundred ticks so the
+// calendar queue's wheel sees realistic occupancy. Its snapshot name,
+// "simloop/calendar", is kept so older BENCH_*.json files compare.
+func SimLoop(b *testing.B) {
 	const n, budget = 64, 300
 	for i := 0; i < b.N; i++ {
 		net, err := sim.New(sim.Config{
 			N:         n,
 			Scheduler: &sched.UniformRandom{Min: 1, Max: 200},
 			Seed:      1,
-			Core:      eventCore,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -129,69 +122,6 @@ func ScenarioE12(b *testing.B) {
 			b.Fatal(err)
 		}
 		rep, err := harness.Run(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !rep.OK() {
-			b.Fatalf("run failed: %s", rep.Failure())
-		}
-	}
-}
-
-// DeliverBatch measures the tick-delivery core A/B: the same E12-style
-// crash-protocol run at n=64 with batched destination-grouped delivery
-// (sim.BatchOn, the default) versus the per-envelope reference loop
-// (sim.BatchOff). The runs are observably identical — pinned by the batch
-// equivalence tests — so the delta is pure delivery-path cost.
-func DeliverBatch(b *testing.B, mode sim.BatchMode) {
-	harness.SetBatching(mode)
-	defer harness.SetBatching(sim.BatchDefault)
-	scen := scenario.MustParse("splitviews+crash/n=64,t=31")
-	p := core.Params{Protocol: core.ProtoCrash, N: 64, T: 31, Eps: 1e-3, Lo: 0, Hi: 1}
-	inputs := harness.BimodalInputs(64, 0, 1)
-	spec, err := harness.SpecFrom(p, inputs, scen, 17)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		rep, err := harness.Run(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !rep.OK() {
-			b.Fatalf("run failed: %s", rep.Failure())
-		}
-	}
-}
-
-// ShardedTick measures the intra-run sharding A/B: the same E12-style
-// crash-protocol run at n=256 (dense multicast ticks well past the worker
-// dispatch threshold) at the given shard count, on a warm recycled run
-// context so the delta is pure tick-execution cost. shards=1 is the
-// sequential reference; shards=4 engages the concurrent worker phase and
-// the barrier merge. The runs are observably identical — pinned by the
-// shard equivalence tests — so on multi-core hardware the s4/s1 ratio is
-// the intra-run speedup, and on a single core it is the sharding overhead.
-func ShardedTick(b *testing.B, shards int) {
-	harness.SetSharding(shards)
-	defer harness.SetSharding(0)
-	scen := scenario.MustParse("splitviews+crash/n=256,t=127")
-	p := core.Params{Protocol: core.ProtoCrash, N: 256, T: 127, Eps: 1e-3, Lo: 0, Hi: 1}
-	spec, err := harness.SpecFrom(p, harness.BimodalInputs(256, 0, 1), scen, 17)
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec.MaxEvents = 20_000_000
-	ctx := harness.NewRunContext()
-	if rep, err := ctx.Run(spec); err != nil {
-		b.Fatalf("warm-up failed: %v", err)
-	} else if !rep.OK() {
-		b.Fatalf("warm-up run failed: %s", rep.Failure())
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := ctx.Run(spec)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -20,8 +20,8 @@ import (
 //
 // The log is a dense slice indexed by send sequence: the simulator allocates
 // sequence numbers contiguously from zero, and batched tick delivery flushes
-// deferred sends in exactly the unbatched trigger order, so the sequence a
-// Recorder observes is identical across batch modes. A zero entry means "no
+// deferred sends in exactly the per-envelope trigger order, so the sequence
+// a Recorder observes is the per-envelope one. A zero entry means "no
 // send recorded at that sequence" (timer events consume no sequence numbers,
 // and real delays are always >= 1). A run drives its scheduler from a single
 // goroutine, so the Recorder is deliberately lock-free; parallel sweeps give

@@ -2,29 +2,35 @@ package sim
 
 import "slices"
 
-// This file is the batched tick-delivery core. The run loop already drains
-// one virtual-time tick per PopTick; here the tick's events are grouped by
-// destination in a reusable staging arena and each party receives its whole
-// tick in one DeliverBatch call, so a party's protocol state is touched once
-// per tick (cache-dense at large n) instead of being round-robined against
-// every other party's state per envelope.
+// This file is the run loop. It drains one virtual-time tick per PopTick
+// and delivers the tick in one of two ways:
 //
-// Equivalence contract. Batched delivery is observably IDENTICAL to the
-// per-envelope loop (sim.BatchOff): every experiment table, delivery trace,
-// and stats counter matches byte for byte. Grouping by destination reorders
-// processing across parties within a tick, which is invisible to the
-// parties themselves (messages have delay >= 1, so no party can observe
-// another party's same-tick processing) but WOULD leak through three global
-// channels, each of which is closed explicitly:
+//   - A sparse tick (fewer than batchTickMin events), and the tick in which
+//     the event budget trips, go envelope by envelope in Seq order with
+//     immediate scheduling (runTickSerial).
+//   - A dense tick is grouped by destination in a reusable staging arena
+//     and each party receives its whole tick in one DeliverBatch call, so
+//     a party's protocol state is touched once per tick (cache-dense at
+//     large n) instead of being round-robined against every other party's
+//     state per envelope (runTickBatched).
 //
-//  1. The scheduler's rng stream and the Seq counter. Unbatched, sends are
-//     scheduled (Seq assigned, delay drawn) in the order deliveries trigger
-//     them. Batched, sends and timers are DEFERRED: api.Send/SetTimer only
-//     record a pending op tagged with the index of the tick event being
-//     processed (its trigger), and a tick-end flush schedules the ops in
-//     trigger order — a stable in-place sort by trigger index — so the Seq
-//     and rng streams are exactly the unbatched ones.
-//  2. Mid-tick termination. The unbatched loop stops at the exact event
+// Equivalence contract. Both ways are observably IDENTICAL to delivering
+// every envelope one at a time in (at, Seq) order: every experiment table,
+// delivery trace, and stats counter matches byte for byte. Grouping by
+// destination reorders processing across parties within a tick, which is
+// invisible to the parties themselves (messages have delay >= 1, so no
+// party can observe another party's same-tick processing) but WOULD leak
+// through three global channels, each of which is closed explicitly:
+//
+//  1. The scheduler's rng stream and the Seq counter. Delivered one at a
+//     time, sends are scheduled (Seq assigned, delay drawn) in the order
+//     deliveries trigger them. Batched, sends and timers are DEFERRED:
+//     api.Send/SetTimer only record a pending op tagged with the index of
+//     the tick event being processed (its trigger), and a tick-end flush
+//     schedules the ops in trigger order — a stable in-place sort by
+//     trigger index — so the Seq and rng streams are exactly the
+//     per-envelope ones.
+//  2. Mid-tick termination. Per-envelope delivery stops at the exact event
 //     that decides the last pending honest party; later same-tick events
 //     are never delivered and their sends never happen. Batched, the tick
 //     has already been processed out of order when that decision lands, so
@@ -36,49 +42,12 @@ import "slices"
 //     emit nothing further by protocol guard).
 //  3. The event budget. MaxEvents aborts mid-tick at an exact event count,
 //     and the delivered prefix would differ under grouping — so a tick that
-//     cannot complete without tripping the budget is handed to the
-//     unbatched loop verbatim (state entering the tick is identical by
-//     induction, so the abort prefix is too).
-
-// BatchMode selects between batched tick delivery (the default) and the
-// per-envelope reference loop. The two are observably equivalent — pinned
-// by delivery-trace tests in this package and byte-identical experiment
-// tables in internal/harness — so the switch exists for the equivalence
-// tests and A/B benchmarks, like the EventCore switch.
-type BatchMode int
-
-const (
-	// BatchDefault resolves to batched delivery.
-	BatchDefault BatchMode = iota
-	// BatchOn groups each tick's envelopes by destination and delivers
-	// them through one DeliverBatch call per party (with a compatibility
-	// shim for processes that don't implement BatchProcess).
-	BatchOn
-	// BatchOff is the per-envelope reference loop.
-	BatchOff
-)
-
-// Resolve maps BatchDefault to the concrete default mode.
-func (m BatchMode) Resolve() BatchMode {
-	if m == BatchDefault {
-		return BatchOn
-	}
-	return m
-}
-
-// String implements fmt.Stringer.
-func (m BatchMode) String() string {
-	switch m {
-	case BatchDefault:
-		return "default"
-	case BatchOn:
-		return "on"
-	case BatchOff:
-		return "off"
-	default:
-		return "unknown"
-	}
-}
+//     cannot complete without tripping the budget is delivered envelope by
+//     envelope (state entering the tick is identical by induction, so the
+//     abort prefix is too).
+//
+// The golden run digests in batch_test.go were recorded from a separate
+// per-envelope run loop before it was removed, and pin this contract.
 
 // BatchProcess is an optional Process extension: a process that implements
 // it receives each tick's envelopes in one DeliverBatch call instead of one
@@ -120,26 +89,25 @@ type Batch struct {
 // per-delivery cost to index arithmetic (no envelope copy).
 func (b *Batch) Next() *Envelope {
 	n := b.net
-	w := b.ps.w
 	for b.pos < len(b.idxs) {
 		i := b.idxs[b.pos]
 		b.pos++
 		if n.crashed[b.ps.id] {
 			// A crash (send-budget exhaustion) mid-batch drops the rest of
-			// the party's tick, exactly as the unbatched loop skips events
-			// to a crashed destination.
+			// the party's tick, exactly as per-envelope delivery skips
+			// events to a crashed destination.
 			continue
 		}
 		ev := &b.events[i]
-		w.curTrig = i
+		n.curTrig = i
 		if ev.timer {
 			if th, ok := b.ps.proc.(TimerHandler); ok {
 				th.OnTimer(ev.tag)
 			}
 			continue
 		}
-		w.stats.MessagesDelivered++
-		w.delivTrig = append(w.delivTrig, i)
+		n.stats.MessagesDelivered++
+		n.delivTrig = append(n.delivTrig, i)
 		return &ev.env
 	}
 	return nil
@@ -174,21 +142,21 @@ type pendingOp struct {
 
 // batchTickMin is the tick size below which grouping is skipped: a sparse
 // tick (most parties receive at most one envelope) gains nothing from
-// destination grouping, so it runs through the reference body instead of
-// paying the staging and deferred-flush bookkeeping. The modes are
+// destination grouping, so it is delivered envelope by envelope instead of
+// paying the staging and deferred-flush bookkeeping. The two ways are
 // equivalent per tick, so the choice is free per tick.
 const batchTickMin = 16
 
-// runBatched is the batched run loop body. budget is the resolved MaxEvents.
-func (n *Network) runBatched(budget int) error {
+// run is the run loop body. budget is the resolved MaxEvents.
+func (n *Network) run(budget int) error {
 	var err error
 	events := 0
-	batch := n.batch[:0]
+	tick := n.tick[:0]
 	for n.pendingHonest > 0 {
 		if n.queue.Len() == 0 {
-			// Mirror the unbatched stall branch: pending restart actions
-			// fire (a rejoin can re-seed the queue) before the stall
-			// verdict is final.
+			// A pending restart can revive a drained run: a rejoin
+			// re-sends, so the stall verdict is only final once no actions
+			// remain.
 			if n.restartsPending() {
 				if err = n.advanceToRestart(); err != nil {
 					break
@@ -198,131 +166,32 @@ func (n *Network) runBatched(budget int) error {
 			err = ErrStalled
 			break
 		}
-		batch = n.queue.PopTick(batch[:0])
-		n.now = batch[0].at
+		tick = n.queue.PopTick(tick[:0])
+		n.now = tick[0].at
 		if n.restartsPending() {
 			if err = n.fireRestarts(); err != nil {
 				break
 			}
 		}
-		if events+len(batch) > budget {
-			// The budget trips inside this tick (or the run completes
-			// first): process it with the reference loop so the aborted
-			// prefix is event-for-event identical.
-			err = n.runTickUnbatched(batch, &events, budget)
-			break
-		}
-		if len(batch) < batchTickMin {
-			// Sparse tick: reference body, immediate scheduling. The event
-			// count can only overshoot when the run completes mid-tick, in
-			// which case it is never read again.
-			events += len(batch)
-			n.runTickSmall(batch)
-			continue
-		}
-		// Dense tick: stage by destination and drain through the shard
-		// workers — one worker when Shards resolves to 1 (the sequential
-		// body), S concurrent workers with a deterministic barrier merge
-		// otherwise (see shard.go).
-		events += len(batch)
-		n.runTickSharded(batch)
-		if n.pendingHonest == 0 {
-			break
-		}
-	}
-	n.batch = batch[:0]
-	return err
-}
-
-// fireObservers replays the tick's deliveries to the observer, in trigger
-// (Seq) order with the completion overshoot dropped — exactly the sequence
-// the unbatched loop would have reported. Deferring the callbacks to tick
-// end means an observer that reads simulation state (the harness trajectory
-// sampler) sees end-of-tick state for every delivery of the tick rather
-// than each intermediate state; consumers rely only on tick-boundary state,
-// which is identical across modes (no party can observe another party's
-// same-tick processing).
-func (n *Network) fireObservers(batch []event, maxTrig int32) {
-	if n.observer == nil || len(n.delivTrig) == 0 {
-		return
-	}
-	slices.Sort(n.delivTrig)
-	for _, trig := range n.delivTrig {
-		if trig > maxTrig {
-			break
-		}
-		n.observer(n.now, batch[trig].env)
-	}
-}
-
-// deliverPartyBatch hands a party its staged tick, through DeliverBatch
-// when the process opts in and through the per-envelope shim otherwise.
-func (n *Network) deliverPartyBatch(ps *partyState, events []event) {
-	idxs := n.stage[ps.id]
-	if bp, ok := ps.proc.(BatchProcess); ok {
-		b := &ps.w.bat
-		*b = Batch{net: n, ps: ps, events: events, idxs: idxs}
-		bp.DeliverBatch(b)
-		b.drain()
-		*b = Batch{} // drop event and payload references
-		return
-	}
-	for _, i := range idxs {
-		n.deliverEvent(ps, &events[i], i)
-	}
-}
-
-// deliverEvent is one per-envelope delivery step (shim and drain path).
-// Observer callbacks are deferred to the tick-end replay (fireObservers).
-func (n *Network) deliverEvent(ps *partyState, ev *event, trig int32) {
-	if n.crashed[ps.id] {
-		return
-	}
-	w := ps.w
-	w.curTrig = trig
-	if ev.timer {
-		if th, ok := ps.proc.(TimerHandler); ok {
-			th.OnTimer(ev.tag)
-		}
-		return
-	}
-	w.stats.MessagesDelivered++
-	w.delivTrig = append(w.delivTrig, trig)
-	ps.proc.Deliver(ev.env.From, ev.env.Data)
-}
-
-// runTickSmall processes one sparse tick with the reference body (Seq
-// order, immediate scheduling, inline observer) — runTickUnbatched minus
-// the budget checks, which the caller has already cleared for the tick.
-func (n *Network) runTickSmall(batch []event) {
-	for bi := range batch {
-		if n.pendingHonest == 0 {
-			return
-		}
-		ev := &batch[bi]
-		if n.crashed[ev.env.To] {
-			continue
-		}
-		dst := n.parties[ev.env.To]
-		if ev.timer {
-			if th, ok := dst.proc.(TimerHandler); ok {
-				th.OnTimer(ev.tag)
+		if len(tick) < batchTickMin || events+len(tick) > budget {
+			if err = n.runTickSerial(tick, &events, budget); err != nil {
+				break
 			}
 			continue
 		}
-		n.stats.MessagesDelivered++
-		dst.proc.Deliver(ev.env.From, ev.env.Data)
-		if n.observer != nil {
-			n.observer(n.now, ev.env)
-		}
+		events += len(tick)
+		n.runTickBatched(tick)
 	}
+	n.tick = tick[:0]
+	return err
 }
 
-// runTickUnbatched processes one tick with the reference loop semantics:
-// per-event budget and termination checks in Seq order. It is used for the
-// (at most one) tick in which the event budget can trip.
-func (n *Network) runTickUnbatched(batch []event, events *int, budget int) error {
-	for bi := range batch {
+// runTickSerial delivers one tick envelope by envelope in Seq order, with
+// immediate scheduling, an inline observer, and per-event budget and
+// termination checks. It serves sparse ticks and the (at most one) tick in
+// which the event budget can trip.
+func (n *Network) runTickSerial(tick []event, events *int, budget int) error {
+	for i := range tick {
 		if n.pendingHonest == 0 {
 			return nil
 		}
@@ -330,7 +199,7 @@ func (n *Network) runTickUnbatched(batch []event, events *int, budget int) error
 			return ErrEventBudget
 		}
 		*events++
-		ev := &batch[bi]
+		ev := &tick[i]
 		if n.crashed[ev.env.To] {
 			continue
 		}
@@ -350,14 +219,110 @@ func (n *Network) runTickUnbatched(batch []event, events *int, budget int) error
 	return nil
 }
 
+// runTickBatched stages one dense tick by destination, delivers each
+// party's group, and then performs the completion repair, the deferred
+// flush, and the observer replay.
+func (n *Network) runTickBatched(tick []event) {
+	// Staging stores indices into the tick slice (not copies); tick is
+	// stable until the next PopTick.
+	for i := range tick {
+		to := tick[i].env.To
+		if len(n.stage[to]) == 0 {
+			n.touched = append(n.touched, int32(to))
+		}
+		n.stage[to] = append(n.stage[to], int32(i))
+	}
+	n.deferOps = true
+	n.decideTrig = -1
+	for _, pi := range n.touched {
+		n.deliverPartyBatch(n.parties[pi], tick)
+		n.stage[pi] = n.stage[pi][:0]
+	}
+	n.touched = n.touched[:0]
+	n.deferOps = false
+
+	maxTrig := int32(len(tick))
+	if n.pendingHonest == 0 {
+		// The run completed mid-tick: per-envelope delivery would have
+		// stopped at the completing event. Back out deliveries of
+		// later-triggered events and flush only ops triggered at or
+		// before it.
+		maxTrig = n.decideTrig
+		for _, trig := range n.delivTrig {
+			if trig > maxTrig {
+				n.stats.MessagesDelivered--
+			}
+		}
+	}
+	n.flushPending(maxTrig)
+	n.fireObservers(tick, maxTrig)
+	n.delivTrig = n.delivTrig[:0]
+}
+
+// fireObservers replays the tick's deliveries to the observer, in trigger
+// (Seq) order with the completion overshoot dropped — exactly the sequence
+// per-envelope delivery would have reported. Deferring the callbacks to
+// tick end means an observer that reads simulation state (the harness
+// trajectory sampler) sees end-of-tick state for every delivery of the
+// tick rather than each intermediate state; consumers rely only on
+// tick-boundary state, which grouping does not change (no party can
+// observe another party's same-tick processing).
+func (n *Network) fireObservers(batch []event, maxTrig int32) {
+	if n.observer == nil || len(n.delivTrig) == 0 {
+		return
+	}
+	slices.Sort(n.delivTrig)
+	for _, trig := range n.delivTrig {
+		if trig > maxTrig {
+			break
+		}
+		n.observer(n.now, batch[trig].env)
+	}
+}
+
+// deliverPartyBatch hands a party its staged tick, through DeliverBatch
+// when the process opts in and through the per-envelope shim otherwise.
+func (n *Network) deliverPartyBatch(ps *partyState, events []event) {
+	idxs := n.stage[ps.id]
+	if bp, ok := ps.proc.(BatchProcess); ok {
+		b := &n.bat
+		*b = Batch{net: n, ps: ps, events: events, idxs: idxs}
+		bp.DeliverBatch(b)
+		b.drain()
+		*b = Batch{} // drop event and payload references
+		return
+	}
+	for _, i := range idxs {
+		n.deliverEvent(ps, &events[i], i)
+	}
+}
+
+// deliverEvent is one per-envelope delivery step (shim and drain path).
+// Observer callbacks are deferred to the tick-end replay (fireObservers).
+func (n *Network) deliverEvent(ps *partyState, ev *event, trig int32) {
+	if n.crashed[ps.id] {
+		return
+	}
+	n.curTrig = trig
+	if ev.timer {
+		if th, ok := ps.proc.(TimerHandler); ok {
+			th.OnTimer(ev.tag)
+		}
+		return
+	}
+	n.stats.MessagesDelivered++
+	n.delivTrig = append(n.delivTrig, trig)
+	ps.proc.Deliver(ev.env.From, ev.env.Data)
+}
+
 // flushPending schedules the tick's deferred ops: Seq assignment,
 // scheduler delay draws, honest-delay tracking, and queue pushes happen
 // here, in trigger order (a stable in-place sort — multicast coalescing
 // keeps the op count proportional to protocol actions, so a comparison
-// sort stays cheap), which makes the Seq and rng streams identical to the
-// unbatched loop's. Ops with trig > maxTrig were triggered after the
-// run-completing event: the unbatched loop never reached them, so they are
-// dropped and their send-time stats backed out.
+// sort stays cheap), which makes the Seq and rng streams identical to
+// per-envelope delivery's. Ops with trig > maxTrig were triggered after
+// the run-completing event: per-envelope delivery never reached them, so
+// they are dropped and their send-time stats backed out.
 func (n *Network) flushPending(maxTrig int32) {
 	if len(n.pend) == 0 {
 		return
@@ -368,33 +333,18 @@ func (n *Network) flushPending(maxTrig int32) {
 	for i := range n.pend {
 		op := &n.pend[i]
 		if op.trig > maxTrig {
-			// Triggered past the completion point: the unbatched loop never
-			// emitted these; back out their send-time accounting. Timer
+			// Triggered past the completion point: per-envelope delivery
+			// never emitted these; back out their send-time accounting. Timer
 			// registrations were never counted as sends — just drop them.
 			if op.timer {
 				continue
 			}
-			sends := 1
-			if op.mcastTo > 0 {
-				sends = int(op.mcastTo)
-			}
-			n.stats.MessagesSent -= sends
-			n.stats.BytesSent -= sends * len(op.data)
-			if !n.faulty[op.from] {
-				n.stats.HonestMessagesSent -= sends
-				n.stats.HonestBytesSent -= sends * len(op.data)
-			}
+			n.countSends(op.from, -max(1, int(op.mcastTo)), len(op.data))
 			op.data = nil
 			continue
 		}
 		if op.timer {
-			n.seq++
-			n.queue.Push(event{
-				at:    n.now + op.delay,
-				env:   Envelope{From: op.from, To: op.from, Seq: n.seq},
-				timer: true,
-				tag:   op.tag,
-			})
+			n.scheduleTimer(op.from, op.delay, op.tag)
 		} else if op.mcastTo > 0 {
 			for to := PartyID(0); to < PartyID(op.mcastTo); to++ {
 				n.scheduleSend(op.from, to, op.data)
@@ -407,10 +357,22 @@ func (n *Network) flushPending(maxTrig int32) {
 	n.pend = n.pend[:0]
 }
 
+// scheduleTimer assigns the next Seq and queues a timer expiry for a
+// party — the single tail of the immediate and the deferred SetTimer.
+func (n *Network) scheduleTimer(p PartyID, delay Time, tag uint64) {
+	n.seq++
+	n.queue.Push(event{
+		at:    n.now + delay,
+		env:   Envelope{From: p, To: p, Seq: n.seq},
+		timer: true,
+		tag:   tag,
+	})
+}
+
 // scheduleSend assigns the next Seq, draws the scheduler decision, and
-// queues the send — the single tail of both the unbatched send path and
+// queues the send — the single tail of both the immediate send path and
 // the batched flush, so the Seq/rng streams and any lossy-network fates
-// are identical across delivery modes. When the scheduler is a
+// are identical either way. When the scheduler is a
 // FateScheduler the send can be dropped (no event queued) or duplicated
 // (a second event at Delay+DupExtra sharing the envelope); a plain
 // Scheduler takes the original delay-only path.

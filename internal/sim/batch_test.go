@@ -10,11 +10,12 @@ import (
 	"testing"
 )
 
-// This file pins the batched tick-delivery core to the per-envelope
-// reference loop: identical delivery traces, stats, decisions, and errors
-// across schedulers (including rng-consuming ones), crash plans, timers,
-// mid-tick run completion, and event-budget aborts — the simulator-level
-// form of the byte-identical-tables contract in internal/harness.
+// This file pins the run loop to golden run digests recorded from the
+// per-envelope reference loop before it was removed: identical delivery
+// traces, stats, decisions, and errors across schedulers (including
+// rng-consuming ones), crash plans, timers, dense n=64 ticks, mid-tick run
+// completion, and event-budget aborts — the simulator-level form of the
+// golden tables in internal/harness.
 
 // chattyProc reacts to every delivery with a point-to-point reply and a
 // periodic multicast, uses a timer, and decides after a message quota — a
@@ -64,11 +65,11 @@ type batchRecord struct {
 	Len      int
 }
 
-// runBatchTrace executes a chatty mesh under the given scheduler and batch
-// mode and returns the delivery trace, result, and run error.
-func runBatchTrace(t *testing.T, sched Scheduler, mode BatchMode, mut func(*Config)) ([]batchRecord, *Result, error) {
+// runBatchTrace executes a chatty mesh under the given scheduler and
+// returns the delivery trace, result, and run error.
+func runBatchTrace(t *testing.T, sched Scheduler, mut func(*Config)) ([]batchRecord, *Result, error) {
 	t.Helper()
-	cfg := Config{N: 6, Scheduler: sched, Seed: 11, Batch: mode}
+	cfg := Config{N: 6, Scheduler: sched, Seed: 11}
 	if mut != nil {
 		mut(&cfg)
 	}
@@ -92,13 +93,11 @@ func runBatchTrace(t *testing.T, sched Scheduler, mode BatchMode, mut func(*Conf
 	return trace, res, runErr
 }
 
-// TestBatchModeTraceEquivalence asserts event-for-event identical delivery
-// traces, stats, and decisions between batched and unbatched delivery
-// across a scheduler matrix that includes shared-rng draws (UniformRandom-
-// style) and crash plans that truncate multicasts mid-tick.
+// TestBatchModeTraceEquivalence checks each run's delivery trace, stats,
+// and decisions against the per-envelope reference loop's golden digest,
+// across a scheduler matrix that includes shared-rng draws
+// (UniformRandom-style) and crash plans that truncate multicasts mid-tick.
 func TestBatchModeTraceEquivalence(t *testing.T) {
-	randSched := func(Envelope, Time, *rand.Rand) Time { return 0 } // placeholder
-	_ = randSched
 	scheds := map[string]func() Scheduler{
 		"const":  func() Scheduler { return constDelay{d: 5} },
 		"random": func() Scheduler { return rngSched{max: 9} },
@@ -119,35 +118,11 @@ func TestBatchModeTraceEquivalence(t *testing.T) {
 	for sname, mk := range scheds {
 		for mname, mut := range muts {
 			t.Run(sname+"/"+mname, func(t *testing.T) {
-				offTrace, offRes, offErr := runBatchTrace(t, mk(), BatchOff, mut)
-				checkGolden(t, "trace/"+sname+"/"+mname, runDigest(offTrace, offRes, offErr))
-				onTrace, onRes, onErr := runBatchTrace(t, mk(), BatchOn, mut)
-				if !errors.Is(onErr, offErr) && !(onErr == nil && offErr == nil) {
-					t.Fatalf("errors diverge: off %v, on %v", offErr, onErr)
+				trace, res, runErr := runBatchTrace(t, mk(), mut)
+				if len(trace) == 0 {
+					t.Fatal("empty delivery trace")
 				}
-				if len(offTrace) != len(onTrace) {
-					t.Fatalf("trace lengths diverge: off %d, on %d", len(offTrace), len(onTrace))
-				}
-				for i := range offTrace {
-					if offTrace[i] != onTrace[i] {
-						t.Fatalf("delivery %d diverges: off %+v, on %+v", i, offTrace[i], onTrace[i])
-					}
-				}
-				if offRes.Stats != onRes.Stats {
-					t.Fatalf("stats diverge: off %+v, on %+v", offRes.Stats, onRes.Stats)
-				}
-				if offRes.FinishTime != onRes.FinishTime || offRes.MaxHonestDelay != onRes.MaxHonestDelay {
-					t.Fatalf("timing diverges: off (%d,%d), on (%d,%d)",
-						offRes.FinishTime, offRes.MaxHonestDelay, onRes.FinishTime, onRes.MaxHonestDelay)
-				}
-				if len(offRes.Decisions) != len(onRes.Decisions) {
-					t.Fatal("decision counts diverge")
-				}
-				for id, v := range offRes.Decisions {
-					if onRes.Decisions[id] != v || onRes.DecidedAt[id] != offRes.DecidedAt[id] {
-						t.Fatalf("party %d decision diverges", id)
-					}
-				}
+				checkGolden(t, "trace/"+sname+"/"+mname, runDigest(trace, res, runErr))
 			})
 		}
 	}
@@ -215,80 +190,44 @@ func (fromSched) Delay(env Envelope, _ Time, _ *rand.Rand) Time {
 	return 1 + Time(env.From)*2
 }
 
-// TestBatchModeBudgetEquivalence pins the event-budget abort: the batched
-// loop must abort at the exact same event, with identical partial stats,
-// which it does by handing the budget-tripping tick to the reference loop.
+// TestBatchModeBudgetEquivalence pins the event-budget abort: the run
+// must abort at the exact event the reference loop did, with identical
+// partial stats, which it does by delivering the budget-tripping tick
+// envelope by envelope.
 func TestBatchModeBudgetEquivalence(t *testing.T) {
 	for _, budget := range []int{1, 7, 23, 50} {
 		mut := func(cfg *Config) { cfg.MaxEvents = budget }
-		offTrace, offRes, offErr := runBatchTrace(t, constDelay{d: 3}, BatchOff, mut)
-		checkGolden(t, fmt.Sprintf("budget/%d", budget), runDigest(offTrace, offRes, offErr))
-		onTrace, onRes, onErr := runBatchTrace(t, constDelay{d: 3}, BatchOn, mut)
-		if !errors.Is(offErr, ErrEventBudget) {
-			t.Fatalf("budget %d: reference run did not trip the budget: %v", budget, offErr)
+		trace, res, runErr := runBatchTrace(t, constDelay{d: 3}, mut)
+		if !errors.Is(runErr, ErrEventBudget) {
+			t.Fatalf("budget %d: run error %v, want ErrEventBudget", budget, runErr)
 		}
-		if !errors.Is(onErr, ErrEventBudget) {
-			t.Fatalf("budget %d: batched run error %v, want ErrEventBudget", budget, onErr)
-		}
-		if len(offTrace) != len(onTrace) {
-			t.Fatalf("budget %d: trace lengths diverge: off %d, on %d", budget, len(offTrace), len(onTrace))
-		}
-		for i := range offTrace {
-			if offTrace[i] != onTrace[i] {
-				t.Fatalf("budget %d: delivery %d diverges", budget, i)
-			}
-		}
-		if offRes.Stats != onRes.Stats {
-			t.Fatalf("budget %d: partial stats diverge: off %+v, on %+v", budget, offRes.Stats, onRes.Stats)
-		}
+		checkGolden(t, fmt.Sprintf("budget/%d", budget), runDigest(trace, res, runErr))
 	}
 }
 
-// lateDecider decides on its quota like chattyProc but keeps talking
-// afterward only through messages already in flight, so runs routinely end
-// in the middle of a dense tick — exercising the completion repair (the
-// batched loop's stats and send stream must match the reference loop's
-// early exit exactly). The scenario already occurs in the equivalence
-// matrix above; this test makes the mid-tick ending certain by having all
-// parties decide at the same tick under a constant-delay scheduler.
+// TestBatchModeMidTickCompletion makes a run end in the middle of a dense
+// tick — all parties decide at the same tick under a constant-delay
+// scheduler — so the completion repair must reproduce the reference
+// loop's early exit exactly: its stats and send stream match the golden.
 func TestBatchModeMidTickCompletion(t *testing.T) {
-	run := func(mode BatchMode) (*Result, Stats) {
-		cfg := Config{N: 8, Scheduler: constDelay{d: 4}, Seed: 3, Batch: mode}
-		net, err := New(cfg)
-		if err != nil {
+	net, err := New(Config{N: 8, Scheduler: constDelay{d: 4}, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace []batchRecord
+	net.SetObserver(func(now Time, env Envelope) {
+		trace = append(trace, batchRecord{Now: now, From: env.From, To: env.To, Seq: env.Seq, Len: len(env.Data)})
+	})
+	for i := 0; i < 8; i++ {
+		if err := net.SetProcess(PartyID(i), &chattyProc{need: 25}); err != nil {
 			t.Fatal(err)
 		}
-		var trace []batchRecord
-		net.SetObserver(func(now Time, env Envelope) {
-			trace = append(trace, batchRecord{Now: now, From: env.From, To: env.To, Seq: env.Seq, Len: len(env.Data)})
-		})
-		for i := 0; i < cfg.N; i++ {
-			if err := net.SetProcess(PartyID(i), &chattyProc{need: 25}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		res, runErr := net.Run()
-		if runErr != nil {
-			t.Fatalf("run failed: %v", runErr)
-		}
-		if mode == BatchOff {
-			checkGolden(t, "midtick", runDigest(trace, res, runErr))
-		}
-		return res, res.Stats
 	}
-	offRes, offStats := run(BatchOff)
-	onRes, onStats := run(BatchOn)
-	if offStats != onStats {
-		t.Fatalf("stats diverge: off %+v, on %+v", offStats, onStats)
+	res, runErr := net.Run()
+	if runErr != nil {
+		t.Fatalf("run failed: %v", runErr)
 	}
-	if offRes.FinishTime != onRes.FinishTime {
-		t.Fatalf("finish time diverges: off %d, on %d", offRes.FinishTime, onRes.FinishTime)
-	}
-	for id, v := range offRes.Decisions {
-		if onRes.Decisions[id] != v {
-			t.Fatalf("party %d decision diverges", id)
-		}
-	}
+	checkGolden(t, "midtick", runDigest(trace, res, runErr))
 }
 
 // batchEcho is an echoProc that opts into DeliverBatch, counting batch
@@ -370,5 +309,36 @@ func TestBatchPartialConsumerDrained(t *testing.T) {
 	}
 	if res.Stats.MessagesDelivered != n*n {
 		t.Fatalf("MessagesDelivered = %d, want %d", res.Stats.MessagesDelivered, n*n)
+	}
+}
+
+// TestRecycledNetworkEquivalence pins Reset's recycling of the tick
+// scratch, payload arena, and party records: a network that just ran a
+// dense n=12 mesh and is Reset to a new shape must reproduce a fresh
+// network's run exactly.
+func TestRecycledNetworkEquivalence(t *testing.T) {
+	net, err := New(Config{N: 12, Scheduler: constDelay{d: 5}, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{12, 12, 6, 12} {
+		cfg := Config{N: n, Scheduler: constDelay{d: 5}, Seed: 11}
+		if err := net.Reset(cfg); err != nil {
+			t.Fatal(err)
+		}
+		var trace []batchRecord
+		net.SetObserver(func(now Time, env Envelope) {
+			trace = append(trace, batchRecord{Now: now, From: env.From, To: env.To, Seq: env.Seq, Len: len(env.Data)})
+		})
+		for i := 0; i < n; i++ {
+			if err := net.SetProcess(PartyID(i), &chattyProc{need: 40}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, runErr := net.Run()
+		freshTrace, freshRes, freshErr := runBatchTrace(t, constDelay{d: 5}, func(c *Config) { c.N = n })
+		if got, want := runDigest(trace, res, runErr), runDigest(freshTrace, freshRes, freshErr); got != want {
+			t.Fatalf("n=%d: recycled network diverges from fresh (digest %s, want %s)", n, got, want)
+		}
 	}
 }

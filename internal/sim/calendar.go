@@ -2,12 +2,24 @@ package sim
 
 import "math/bits"
 
-// calendarQueue is the simulator's default event core: a timing wheel of
-// one-tick buckets over the near future, an overflow min-heap for events
-// beyond the wheel horizon, and a flat event arena recycled through a free
-// list. Push and PopTick are amortized O(1) per event, versus the binary
-// heap's O(log M) — the difference is the dominant cost of large-n sweeps,
-// where M (messages in flight) grows with n².
+// event is a scheduled delivery or timer expiry.
+type event struct {
+	at    Time
+	env   Envelope
+	timer bool
+	tag   uint64
+}
+
+// calendarQueue is the simulator's event queue: a timing wheel of one-tick
+// buckets over the near future, an overflow min-heap for events beyond the
+// wheel horizon, and a flat event arena recycled through a free list. Push
+// and PopTick are amortized O(1) per event, versus a binary heap's
+// O(log M) — the difference is the dominant cost of large-n sweeps, where
+// M (messages in flight) grows with n².
+//
+// PopTick hands over the whole earliest tick at once, so the run loop can
+// deliver a tick without re-consulting the queue per event (delays are
+// >= 1 tick, so a delivery can never append to the tick being drained).
 //
 // Ordering invariant. Deliveries must happen in strict (at, Seq) order,
 // and Seq is assigned monotonically at push time, so a bucket's FIFO chain
@@ -59,7 +71,7 @@ func newCalendarQueue() *calendarQueue {
 	return q
 }
 
-// Len implements eventQueue.
+// Len reports the number of pending events.
 func (q *calendarQueue) Len() int { return q.inWheel + q.overflow.Len() }
 
 // alloc takes a node from the free list (or grows the arena) and stores e.
@@ -74,9 +86,9 @@ func (q *calendarQueue) alloc(e event) int32 {
 	return int32(len(q.arena) - 1)
 }
 
-// Reset implements eventQueue: it empties the wheel and overflow heap and
-// rewinds the window to tick zero, keeping the arena (and its free list)
-// for the next run. Cost is O(events still pending), not O(arena): only
+// Reset empties the wheel and overflow heap and rewinds the window to tick
+// zero, keeping the arena (and its free list) for the next run. Cost is
+// O(events still pending), not O(arena): only
 // the occupied buckets — found through the occupancy bitmap — are walked,
 // their nodes freed and payload references dropped, so a context recycled
 // from a large-n run resets in constant time for small-n runs. Free-list
@@ -108,7 +120,8 @@ func (q *calendarQueue) Reset() {
 	q.overflow.Reset()
 }
 
-// Push implements eventQueue.
+// Push inserts an event. Its time must be strictly after every tick
+// already popped (the simulator guarantees this: delays are >= 1).
 func (q *calendarQueue) Push(e event) {
 	if e.at >= q.base+wheelSize {
 		q.overflow.Push(e)
@@ -158,7 +171,9 @@ func (q *calendarQueue) nextTick() Time {
 	panic("sim: calendar queue occupancy bitmap out of sync")
 }
 
-// PopTick implements eventQueue.
+// PopTick removes every event scheduled at the earliest pending tick and
+// appends them to buf in Seq order, returning the extended slice. It
+// returns buf unchanged when the queue is empty.
 func (q *calendarQueue) PopTick(buf []event) []event {
 	if q.inWheel == 0 {
 		if q.overflow.Len() == 0 {
@@ -190,4 +205,73 @@ func (q *calendarQueue) PopTick(buf []event) []event {
 	b.head, b.tail = -1, -1
 	q.occupied[slot>>6] &^= 1 << uint(slot&63)
 	return buf
+}
+
+// eventHeap is the overflow store: a binary min-heap ordered by (delivery
+// time, send sequence). A hand-rolled heap (rather than container/heap)
+// avoids per-operation interface allocations.
+type eventHeap struct {
+	items []event
+}
+
+func (h *eventHeap) Len() int { return len(h.items) }
+
+// Reset empties the heap, keeping the backing array but dropping the
+// payload references of any still-pending events.
+func (h *eventHeap) Reset() {
+	clear(h.items)
+	h.items = h.items[:0]
+}
+
+func (h *eventHeap) less(i, j int) bool {
+	a, b := &h.items[i], &h.items[j]
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.env.Seq < b.env.Seq
+}
+
+// Push inserts an event.
+func (h *eventHeap) Push(e event) {
+	h.items = append(h.items, e)
+	i := len(h.items) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			break
+		}
+		h.items[i], h.items[parent] = h.items[parent], h.items[i]
+		i = parent
+	}
+}
+
+// Pop removes and returns the earliest event. It must not be called on an
+// empty heap.
+func (h *eventHeap) Pop() event {
+	top := h.items[0]
+	last := len(h.items) - 1
+	h.items[0] = h.items[last]
+	h.items[last] = event{}
+	h.items = h.items[:last]
+	h.siftDown(0)
+	return top
+}
+
+func (h *eventHeap) siftDown(i int) {
+	n := len(h.items)
+	for {
+		left, right := 2*i+1, 2*i+2
+		smallest := i
+		if left < n && h.less(left, smallest) {
+			smallest = left
+		}
+		if right < n && h.less(right, smallest) {
+			smallest = right
+		}
+		if smallest == i {
+			return
+		}
+		h.items[i], h.items[smallest] = h.items[smallest], h.items[i]
+		i = smallest
+	}
 }

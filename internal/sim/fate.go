@@ -32,8 +32,8 @@ type Fate struct {
 // passed in (the run's seeded scheduler stream) — never from wall clock
 // or global state — and implementations must consume rng draws in a
 // fixed order per send (innermost base delay first, then each wrapper in
-// composition order) so that capture/replay and the batched/unbatched
-// loops observe identical streams.
+// composition order) so that capture/replay and batched delivery
+// observe identical streams.
 type FateScheduler interface {
 	Scheduler
 	// Fate returns the full scheduling decision for the envelope. The

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 )
 
 // Stats aggregates message-level accounting for one execution.
@@ -109,15 +108,15 @@ func (r *Result) HonestSpread() float64 {
 // run of the same shape, a Reset + Run cycle performs zero steady-state
 // heap allocations. Reset is provably equivalent to fresh construction
 // (every field a run can observe is re-derived from the new Config), which
-// the harness pins by comparing recycled and freshly-built experiment
-// tables byte for byte.
+// the harness pins by comparing warm and freshly built run contexts
+// report for report.
 type Network struct {
 	cfg        Config
 	parties    []*partyState // the run's parties: allParties[:cfg.N]
 	allParties []*partyState // every party record ever built, for recycling
-	queue      eventQueue
-	queueCore  EventCore     // resolved core the queue implements
-	batch      []event       // reusable same-tick delivery batch (Run loop)
+	queue      *calendarQueue
+	tick       []event       // reusable buffer for the tick being delivered
+	arena      payloadArena  // payload snapshots of the run's sends
 	fate       FateScheduler // cfg.Scheduler when it decides drops/dups; nil otherwise
 	rng        *rand.Rand
 	now        Time
@@ -138,18 +137,19 @@ type Network struct {
 	decision   []float64
 	decidedAt  []Time
 
-	// Batched tick delivery state (see batch.go, shard.go): per-destination
-	// staging of the tick's event indices, the shard workers that drain it,
-	// and the run-global merge targets for the deferred send/timer ops and
-	// delivery triggers (fed from the per-worker lists at the tick barrier).
-	batching  bool
-	stage     [][]int32
-	pend      []pendingOp
-	delivTrig []int32
-	deferOps  bool
-	shards    int            // resolved worker count for this run
-	ws        []*shardWorker // worker fleet; only ws[:shards] run a tick
-	shardWG   *sync.WaitGroup
+	// Batched tick delivery state (see batch.go), live only while a dense
+	// tick is being delivered: the per-destination staging of the tick's
+	// event indices, the deferred send/timer ops, and the trigger
+	// bookkeeping for the flush, the observer replay, and the mid-tick
+	// completion repair.
+	stage      [][]int32
+	touched    []int32     // staged destinations, in first-appearance (Seq) order
+	pend       []pendingOp // deferred ops, flushed in trigger order
+	delivTrig  []int32     // trigger index of every delivery this tick
+	curTrig    int32       // trigger index of the event being processed
+	decideTrig int32       // largest trigger that produced an honest decision; -1 if none
+	deferOps   bool
+	bat        Batch // the reusable DeliverBatch iterator
 
 	maxHonestDelay Time
 	pendingHonest  int // honest parties that have not decided yet
@@ -178,10 +178,7 @@ const arenaBlock = 1 << 16
 // one copy. A payload slice is valid only while its envelope is in flight
 // (until the delivery callback returns): exhausted blocks are kept and
 // recycled by reset, so memory is bounded by the peak per-run payload volume
-// rather than churned per run. Each shard worker owns one arena — snapshots
-// happen while a party's tick is being delivered, which under sharding runs
-// on the worker goroutine — so a party always snapshots through its worker
-// (partyState.w), never through shared Network state.
+// rather than churned per run.
 type payloadArena struct {
 	blocks [][]byte
 	cur    []byte // blocks[blk], the block currently being carved
@@ -239,17 +236,12 @@ func (a *payloadArena) reset() {
 
 // partyState is a party's cold identity record and its API implementation.
 // The hot flags and values (crashed/decided, send budget, decision) live in
-// the Network's parallel arrays, indexed by id. w is the shard worker that
-// delivers this party's ticks: the party's API calls route their deferred
-// ops, stats deltas, and payload snapshots through it, so under sharding a
-// delivering party touches only per-party and worker-local state (the
-// ownership argument in shard.go).
+// the Network's parallel arrays, indexed by id.
 type partyState struct {
 	id   PartyID
 	proc Process
 	net  *Network
 	rng  *rand.Rand
-	w    *shardWorker
 }
 
 var _ API = (*partyState)(nil)
@@ -259,48 +251,41 @@ func (p *partyState) N() int           { return p.net.cfg.N }
 func (p *partyState) Rand() *rand.Rand { return p.rng }
 
 func (p *partyState) Send(to PartyID, data []byte) {
-	p.net.send(p, to, p.w.arena.snapshot(data))
+	p.net.send(p.id, to, p.net.arena.snapshot(data))
 }
 
 func (p *partyState) Multicast(data []byte) {
 	// One snapshot shared by all n envelopes: the sender may reuse its
 	// buffer immediately, and the n recipients alias a single copy.
 	n := p.net
-	buf := p.w.arena.snapshot(data)
-	if n.deferOps {
-		// Batched tick in progress: the whole multicast coalesces into one
-		// pending op (expanded recipient-by-recipient at the flush, in the
-		// exact per-send order the unbatched loop produces). The crash
-		// budget is settled here, at call time, with the unbatched
-		// semantics: a budget smaller than the fan-out truncates the
-		// multicast to the first sendBudget recipients and fires the crash.
-		id := p.id
-		if n.crashed[id] {
-			return
-		}
-		k := n.cfg.N
-		if bud := n.sendBudget[id]; bud >= 0 {
-			if bud < k {
-				k = bud
-				n.crashed[id] = true
-			}
-			n.sendBudget[id] -= k
-		}
-		if k == 0 {
-			return
-		}
-		w := p.w
-		w.stats.MessagesSent += k
-		w.stats.BytesSent += k * len(buf)
-		if !n.faulty[id] {
-			w.stats.HonestMessagesSent += k
-			w.stats.HonestBytesSent += k * len(buf)
-		}
-		w.pend = append(w.pend, pendingOp{data: buf, from: id, trig: w.curTrig, mcastTo: int32(k)})
+	buf := n.arena.snapshot(data)
+	id := p.id
+	if n.crashed[id] {
 		return
 	}
-	for to := 0; to < n.cfg.N; to++ {
-		n.send(p, PartyID(to), buf)
+	// The crash budget is settled for the whole fan-out at once, with
+	// per-send semantics: a budget smaller than the fan-out truncates the
+	// multicast to the first sendBudget recipients and fires the crash.
+	k := n.cfg.N
+	if bud := n.sendBudget[id]; bud >= 0 {
+		if bud < k {
+			k = bud
+			n.crashed[id] = true
+		}
+		n.sendBudget[id] -= k
+	}
+	if k == 0 {
+		return
+	}
+	n.countSends(id, k, len(buf))
+	if n.deferOps {
+		// Batched tick in progress: the whole multicast coalesces into one
+		// pending op, expanded recipient by recipient at the flush.
+		n.pend = append(n.pend, pendingOp{data: buf, from: id, trig: n.curTrig, mcastTo: int32(k)})
+		return
+	}
+	for to := PartyID(0); to < PartyID(k); to++ {
+		n.scheduleSend(id, to, buf)
 	}
 }
 
@@ -313,19 +298,12 @@ func (p *partyState) SetTimer(delay Time, tag uint64) {
 		delay = 1
 	}
 	if net.deferOps {
-		w := p.w
-		w.pend = append(w.pend, pendingOp{
-			from: p.id, delay: delay, tag: tag, trig: w.curTrig, timer: true,
+		net.pend = append(net.pend, pendingOp{
+			from: p.id, delay: delay, tag: tag, trig: net.curTrig, timer: true,
 		})
 		return
 	}
-	net.seq++
-	net.queue.Push(event{
-		at:    net.now + delay,
-		env:   Envelope{From: p.id, To: p.id, Seq: net.seq},
-		timer: true,
-		tag:   tag,
-	})
+	net.scheduleTimer(p.id, delay, tag)
 }
 
 func (p *partyState) Decide(value float64) {
@@ -339,23 +317,16 @@ func (p *partyState) Decide(value float64) {
 	if net.faulty[p.id] {
 		return
 	}
-	if net.deferOps {
-		// Batched tick in progress: record the decision against the worker;
-		// the tick barrier folds the pending-honest decrement and the
-		// finish-time update (now is tick-constant, so folding is exact) and
-		// tracks the latest trigger that produced an honest decision — if
-		// this tick completes the run, the unbatched loop would have stopped
-		// exactly there (the mid-tick completion repair).
-		w := p.w
-		w.honestDecided++
-		if w.curTrig > w.decideTrig {
-			w.decideTrig = w.curTrig
-		}
-		return
-	}
 	net.pendingHonest--
 	if net.now > net.finishTime {
 		net.finishTime = net.now
+	}
+	if net.deferOps && net.curTrig > net.decideTrig {
+		// Batched tick in progress: track the latest trigger that produced
+		// an honest decision. If this tick completes the run, per-envelope
+		// delivery would have stopped exactly there (the mid-tick
+		// completion repair in runTickBatched).
+		net.decideTrig = net.curTrig
 	}
 }
 
@@ -390,9 +361,8 @@ func (n *Network) Reset(cfg Config) error {
 	// would put an interface check on the hot path for the common
 	// (fate-free) case.
 	n.fate, _ = cfg.Scheduler.(FateScheduler)
-	if core := cfg.Core.Resolve(); n.queue == nil || core != n.queueCore {
-		n.queue = newEventQueue(core)
-		n.queueCore = core
+	if n.queue == nil {
+		n.queue = newCalendarQueue()
 	} else {
 		n.queue.Reset()
 	}
@@ -430,16 +400,10 @@ func (n *Network) Reset(cfg Config) error {
 		ps.proc = nil
 	}
 	n.resizeSoA(cfg.N)
-	// Resolve the worker count and (re)partition the parties into contiguous
-	// shards. The fleet only grows; assignment is fixed per Reset so warm-run
-	// allocation high-water marks stay deterministic (no work stealing).
-	n.shards = resolveShards(cfg.Shards, cfg.N)
-	n.ensureWorkers(n.shards)
 	for i, ps := range n.parties {
 		if i < recycled {
 			ps.rng.Seed(partySeed(cfg.Seed, i))
 		}
-		ps.w = n.ws[i*n.shards/cfg.N]
 		ps.proc = nil
 		n.faulty[i] = false
 		n.byz[i] = false
@@ -459,7 +423,6 @@ func (n *Network) Reset(cfg Config) error {
 		n.parties[id].proc = proc
 	}
 	n.resetRestarts()
-	n.batching = cfg.Batch.Resolve() == BatchOn
 	n.now = 0
 	n.seq = 0
 	n.stats = Stats{}
@@ -469,20 +432,13 @@ func (n *Network) Reset(cfg Config) error {
 	n.observer = nil
 	// Batching scratch is empty between ticks by construction; clear
 	// defensively so an aborted run can never leak payload references.
-	for i := range n.pend {
-		n.pend[i].data = nil
-	}
+	clear(n.pend)
 	n.pend = n.pend[:0]
+	n.touched = n.touched[:0]
 	n.delivTrig = n.delivTrig[:0]
 	n.deferOps = false
-	// Reset every worker ever built (not just this run's ws[:shards]): their
-	// tick scratch, pend lists, and payload arenas are recycled in place so
-	// warm sharded runs stay allocation-free, and workers idled by a smaller
-	// shard count must not pin the previous run's payload blocks' contents
-	// as live data.
-	for _, w := range n.ws {
-		w.resetRun()
-	}
+	n.bat = Batch{}
+	n.arena.reset()
 	return nil
 }
 
@@ -550,41 +506,38 @@ func (n *Network) Party(id PartyID) Process {
 // Now exposes the current virtual time (used by observers and tests).
 func (n *Network) Now() Time { return n.now }
 
-func (n *Network) send(from *partyState, to PartyID, data []byte) {
-	id := from.id
-	if n.crashed[id] {
+func (n *Network) send(from, to PartyID, data []byte) {
+	if n.crashed[from] {
 		return
 	}
-	if n.sendBudget[id] == 0 {
+	if n.sendBudget[from] == 0 {
 		// The crash plan fires: this send and everything after it is lost.
-		n.crashed[id] = true
+		n.crashed[from] = true
 		return
 	}
-	if n.sendBudget[id] > 0 {
-		n.sendBudget[id]--
+	if n.sendBudget[from] > 0 {
+		n.sendBudget[from]--
 	}
+	n.countSends(from, 1, len(data))
 	if n.deferOps {
-		// Batched tick in progress: record the send (and its accounting)
-		// against the sender's shard worker, tagged with the event being
-		// processed; Seq assignment and the delay draw happen in trigger
-		// order at the tick-end flush (see batch.go, shard.go).
-		w := from.w
-		w.stats.MessagesSent++
-		w.stats.BytesSent += len(data)
-		if !n.faulty[id] {
-			w.stats.HonestMessagesSent++
-			w.stats.HonestBytesSent += len(data)
-		}
-		w.pend = append(w.pend, pendingOp{data: data, from: id, to: to, trig: w.curTrig})
+		// Batched tick in progress: record the send tagged with the event
+		// being processed; Seq assignment and the delay draw happen in
+		// trigger order at the tick-end flush (see batch.go).
+		n.pend = append(n.pend, pendingOp{data: data, from: from, to: to, trig: n.curTrig})
 		return
 	}
-	n.stats.MessagesSent++
-	n.stats.BytesSent += len(data)
-	if !n.faulty[id] {
-		n.stats.HonestMessagesSent++
-		n.stats.HonestBytesSent += len(data)
+	n.scheduleSend(from, to, data)
+}
+
+// countSends adds k sends of size bytes from a party to the stats; the
+// completion repair passes a negative k to back them out.
+func (n *Network) countSends(from PartyID, k, size int) {
+	n.stats.MessagesSent += k
+	n.stats.BytesSent += k * size
+	if !n.faulty[from] {
+		n.stats.HonestMessagesSent += k
+		n.stats.HonestBytesSent += k * size
 	}
-	n.scheduleSend(id, to, data)
 }
 
 // Run executes the simulation until every honest party has decided, the
@@ -636,73 +589,8 @@ func (n *Network) runInto(res *Result) error {
 	if budget <= 0 {
 		budget = n.defaultMaxEvents
 	}
-	var err error
-	if n.batching {
-		err = n.runBatched(budget)
-	} else {
-		err = n.runUnbatched(budget)
-	}
+	err := n.run(budget)
 	n.resultInto(res)
-	return err
-}
-
-// runUnbatched is the per-envelope reference loop (sim.BatchOff). The loop
-// drains the queue one virtual-time tick at a time: PopTick hands over
-// every event of the earliest tick in one batch (delays are >= 1, so
-// deliveries can never append to the tick in flight), and the inner
-// consumption runs straight through the batch in (at, Seq) order. The
-// batched loop in batch.go is pinned observably equivalent to this one.
-func (n *Network) runUnbatched(budget int) error {
-	var err error
-	events := 0
-	batch, bi := n.batch[:0], 0
-	for n.pendingHonest > 0 {
-		if bi == len(batch) {
-			if n.queue.Len() == 0 {
-				// A pending restart can revive a drained run: a rejoin
-				// re-sends, so the stall verdict is only final once no
-				// actions remain.
-				if n.restartsPending() {
-					if err = n.advanceToRestart(); err != nil {
-						break
-					}
-					continue
-				}
-				err = ErrStalled
-				break
-			}
-			batch, bi = n.queue.PopTick(batch[:0]), 0
-			n.now = batch[0].at
-			if n.restartsPending() {
-				if err = n.fireRestarts(); err != nil {
-					break
-				}
-			}
-		}
-		if events >= budget {
-			err = ErrEventBudget
-			break
-		}
-		events++
-		ev := batch[bi]
-		bi++
-		if n.crashed[ev.env.To] {
-			continue
-		}
-		dst := n.parties[ev.env.To]
-		if ev.timer {
-			if th, ok := dst.proc.(TimerHandler); ok {
-				th.OnTimer(ev.tag)
-			}
-			continue
-		}
-		n.stats.MessagesDelivered++
-		dst.proc.Deliver(ev.env.From, ev.env.Data)
-		if n.observer != nil {
-			n.observer(n.now, ev.env)
-		}
-	}
-	n.batch = batch[:0]
 	return err
 }
 

@@ -48,19 +48,18 @@ func (p *rollProc) Rejoin() { p.api.Multicast([]byte{1}) }
 
 // restartRun executes three rollProc parties where party 0 checkpoints at
 // t=0, crashes at t=2, and rejoins at t=4.
-func restartRun(t *testing.T, batch BatchMode) (*Network, *Result) {
+func restartRun(t *testing.T) (*Network, *Result) {
 	t.Helper()
-	n, res, _ := restartTrace(t, batch)
+	n, res, _ := restartTrace(t)
 	return n, res
 }
 
 // restartTrace is restartRun that also returns the delivery trace.
-func restartTrace(t *testing.T, batch BatchMode) (*Network, *Result, []batchRecord) {
+func restartTrace(t *testing.T) (*Network, *Result, []batchRecord) {
 	t.Helper()
 	cfg := Config{
 		N:         3,
 		Scheduler: constDelay{1},
-		Batch:     batch,
 		Restarts:  []RestartPlan{{Party: 0, Checkpoint: 0, Down: 2, Rejoin: 4}},
 	}
 	n, err := New(cfg)
@@ -78,7 +77,7 @@ func restartTrace(t *testing.T, batch BatchMode) (*Network, *Result, []batchReco
 	n.SetProcess(2, &rollProc{need: 4})
 	res, err := n.Run()
 	if err != nil {
-		t.Fatalf("run (batch=%v): %v", batch, err)
+		t.Fatalf("run: %v", err)
 	}
 	return n, res, trace
 }
@@ -86,47 +85,43 @@ func restartTrace(t *testing.T, batch BatchMode) (*Network, *Result, []batchReco
 // TestRestartGolden pins the restart run's trace, result, and checkpoint
 // digest to the golden recorded from the per-envelope reference loop.
 func TestRestartGolden(t *testing.T) {
-	for _, batch := range []BatchMode{BatchOff, BatchOn} {
-		n, res, trace := restartTrace(t, batch)
-		checkGolden(t, "restart", runDigest(trace, res, nil))
-		checkGolden(t, "restart/checkpoints", fmt.Sprintf("%x", n.CheckpointDigests()))
-	}
+	n, res, trace := restartTrace(t)
+	checkGolden(t, "restart", runDigest(trace, res, nil))
+	checkGolden(t, "restart/checkpoints", fmt.Sprintf("%x", n.CheckpointDigests()))
 }
 
 func TestRestartRevivesAndRollsBack(t *testing.T) {
-	for _, batch := range []BatchMode{BatchOff, BatchOn} {
-		n, res := restartRun(t, batch)
-		if len(res.Decisions) != 3 {
-			t.Fatalf("batch=%v: %d decisions, want 3", batch, len(res.Decisions))
-		}
-		// Party 0 decided sum=3 at t=1, was un-decided by the crash, and
-		// re-decided after the rollback with sum=1: the decision value
-		// proves the restore ran (an un-restored party would report 4).
-		if res.Decisions[0] != 1 {
-			t.Errorf("batch=%v: party 0 decision %v, want 1 (rolled-back sum)", batch, res.Decisions[0])
-		}
-		if res.DecidedAt[0] != 5 {
-			t.Errorf("batch=%v: party 0 re-decided at t=%d, want 5", batch, res.DecidedAt[0])
-		}
-		if res.Decisions[1] != 4 || res.Decisions[2] != 4 {
-			t.Errorf("batch=%v: peer decisions %v %v, want 4 4", batch, res.Decisions[1], res.Decisions[2])
-		}
-		if res.FinishTime != 5 {
-			t.Errorf("batch=%v: finish time %d, want 5", batch, res.FinishTime)
-		}
-		dg := n.CheckpointDigests()
-		if len(dg) != 1 || dg[0] == 0 {
-			t.Errorf("batch=%v: digests %v, want one nonzero entry", batch, dg)
-		}
+	n, res := restartRun(t)
+	if len(res.Decisions) != 3 {
+		t.Fatalf("%d decisions, want 3", len(res.Decisions))
+	}
+	// Party 0 decided sum=3 at t=1, was un-decided by the crash, and
+	// re-decided after the rollback with sum=1: the decision value proves
+	// the restore ran (an un-restored party would report 4).
+	if res.Decisions[0] != 1 {
+		t.Errorf("party 0 decision %v, want 1 (rolled-back sum)", res.Decisions[0])
+	}
+	if res.DecidedAt[0] != 5 {
+		t.Errorf("party 0 re-decided at t=%d, want 5", res.DecidedAt[0])
+	}
+	if res.Decisions[1] != 4 || res.Decisions[2] != 4 {
+		t.Errorf("peer decisions %v %v, want 4 4", res.Decisions[1], res.Decisions[2])
+	}
+	if res.FinishTime != 5 {
+		t.Errorf("finish time %d, want 5", res.FinishTime)
+	}
+	dg := n.CheckpointDigests()
+	if len(dg) != 1 || dg[0] == 0 {
+		t.Errorf("digests %v, want one nonzero entry", dg)
 	}
 }
 
 func TestRestartDigestsDeterministic(t *testing.T) {
-	n1, _ := restartRun(t, BatchOff)
-	n2, _ := restartRun(t, BatchOn)
+	n1, _ := restartRun(t)
+	n2, _ := restartRun(t)
 	d1, d2 := n1.CheckpointDigests(), n2.CheckpointDigests()
 	if len(d1) != 1 || len(d2) != 1 || d1[0] != d2[0] {
-		t.Errorf("digest streams differ across delivery modes: %v vs %v", d1, d2)
+		t.Errorf("digest streams differ across identical runs: %v vs %v", d1, d2)
 	}
 }
 
@@ -190,7 +185,7 @@ func TestRestartConfigValidate(t *testing.T) {
 // A restart axis left empty must not change the run at all; the recycled
 // network must also behave identically after a restart-bearing run.
 func TestRestartResetRecycles(t *testing.T) {
-	n, first := restartRun(t, BatchOff)
+	n, first := restartRun(t)
 	// Re-run the same config on the recycled network.
 	cfg := n.cfg
 	if err := n.Reset(cfg); err != nil {

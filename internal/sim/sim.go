@@ -135,33 +135,27 @@ type Config struct {
 	Restarts []RestartPlan
 	// MaxEvents aborts runaway executions; 0 means a generous default.
 	MaxEvents int
-	// Core selects the event-queue implementation (CoreDefault resolves to
-	// the build's default). The cores are trace-equivalent; the switch
-	// exists for the equivalence tests and performance comparisons.
+	// Core, Batch and Shards are retired execution-mode switches: the
+	// simulator has one event queue, one delivery path and one goroutine
+	// per run. Validate accepts only their zero values.
+	//
+	// Deprecated: leave unset.
 	Core EventCore
-	// Batch selects between batched tick delivery (the default: each
-	// party receives its whole tick through one DeliverBatch call) and
-	// the per-envelope reference loop. Results, stats, and the observed
-	// delivery sequence are identical across the modes; the one nuance is
-	// that a dense tick's observer callbacks replay at tick end, so an
-	// observer that reads live simulation state sees end-of-tick state
-	// (see Network.fireObservers — tick-boundary state is identical in
-	// both modes). The switch exists for the equivalence tests and A/B
-	// benchmarks, like Core.
+	// Deprecated: leave unset; see Core.
 	Batch BatchMode
-	// Shards selects intra-run sharding of batched tick delivery: parties
-	// are partitioned into this many contiguous shards and a dense tick's
-	// per-destination groups are drained by one worker per shard, merged
-	// deterministically at the tick-end barrier (see shard.go). 0 means
-	// auto — min(GOMAXPROCS, N/shardAutoParties), so small runs stay on
-	// the sequential path — and 1 forces the sequential reference path.
-	// Tables, stats, delivery traces, and rng streams are identical at
-	// every shard count; the switch exists for the equivalence tests and
-	// scaling benchmarks, like Core and Batch. Sharding applies only to
-	// batched delivery (Batch on): the per-envelope reference loop is
-	// always sequential.
+	// Deprecated: leave unset; see Core.
 	Shards int
 }
+
+// EventCore is the type of the retired Config.Core switch.
+//
+// Deprecated: the simulator has one event queue.
+type EventCore int
+
+// BatchMode is the type of the retired Config.Batch switch.
+//
+// Deprecated: the simulator has one delivery path.
+type BatchMode int
 
 // Sentinel errors returned by Run.
 var (
@@ -181,14 +175,8 @@ func (c *Config) Validate() error {
 	if c.Scheduler == nil {
 		return errors.New("sim: config: nil Scheduler")
 	}
-	if c.Core < CoreDefault || c.Core > CoreHeap {
-		return fmt.Errorf("sim: config: unknown event core %d", c.Core)
-	}
-	if c.Batch < BatchDefault || c.Batch > BatchOff {
-		return fmt.Errorf("sim: config: unknown batch mode %d", c.Batch)
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("sim: config: Shards = %d, need >= 0 (0 = auto)", c.Shards)
+	if c.Core != 0 || c.Batch != 0 || c.Shards != 0 {
+		return fmt.Errorf("sim: config: retired mode switch set (Core=%d Batch=%d Shards=%d); leave them zero", c.Core, c.Batch, c.Shards)
 	}
 	// The duplicate-fault scan is quadratic in the crash count instead of
 	// building a set: fault lists are bounded by the protocol fault bound,

@@ -88,6 +88,27 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestShardConfigValidation pins the retired mode fields: Shards, Core,
+// and Batch accept only their zero values.
+func TestShardConfigValidation(t *testing.T) {
+	for _, mut := range []func(*Config){
+		func(c *Config) { c.Shards = 1 },
+		func(c *Config) { c.Shards = -1 },
+		func(c *Config) { c.Core = 1 },
+		func(c *Config) { c.Batch = 2 },
+	} {
+		cfg := Config{N: 4, Scheduler: constDelay{d: 1}}
+		mut(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("retired mode accepted: Core=%d Batch=%d Shards=%d", cfg.Core, cfg.Batch, cfg.Shards)
+		}
+	}
+	cfg := Config{N: 4, Scheduler: constDelay{d: 1}}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("zero mode fields rejected: %v", err)
+	}
+}
+
 func TestAllHonestDecide(t *testing.T) {
 	net, _ := newEchoNet(t, 4, nil)
 	res, err := net.Run()
