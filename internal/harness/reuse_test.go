@@ -59,31 +59,48 @@ func checkWarmEqualsFresh(t *testing.T, labels []string, specs []Spec) {
 	}
 }
 
-// TestRunContextReuseByteIdentical drives one context through a spec list
-// that changes protocol, n, fault composition, transport, restart plans,
-// and trajectory recording between consecutive runs — the E12 usage
-// pattern and beyond — and checks every report against a fresh context's. Any state leaking across a Reset — in
-// the simulator, a protocol party, an RBC slab, or a relnet link — would
-// perturb some run's schedule or decision and surface as a report diff.
+// TestRunContextReuseByteIdentical drives one context through the shape
+// changes of shapeCases and then through changes of transport, restart
+// plan, and trajectory recording, and checks every report against a fresh
+// context's. Any state leaking across a Reset — in the simulator, a
+// protocol party, an RBC slab, or a relnet link — would perturb some run's
+// schedule or decision and surface as a report diff.
 func TestRunContextReuseByteIdentical(t *testing.T) {
-	cases := []struct {
-		p        core.Params
-		scen     string
-		reliable bool
-		traj     bool
-	}{
+	cases := append(shapeCases(), []reuseCase{
+		{core.Params{Protocol: core.ProtoCrash, N: 10, T: 4, Eps: 1e-3, Lo: 0, Hi: 1}, "random+loss:0.05/n=10,t=4", true, false},
+		{core.Params{Protocol: core.ProtoCrash, N: 9, T: 2, Eps: 1e-3, Lo: 0, Hi: 1, Adaptive: true}, "random+recover:2:50:30/n=9,t=2", true, false},
+		{core.Params{Protocol: core.ProtoByzTrim, N: 15, T: 2, Eps: 1e-3, Lo: 0, Hi: 1}, "splitviews+amplifier/n=15,t=2", false, true},
+		{core.Params{Protocol: core.ProtoCrash, N: 34, T: 16, Eps: 1e-3, Lo: 0, Hi: 1}, "random+crash/n=34,t=16", false, false},
+		{core.Params{Protocol: core.ProtoCrash, N: 9, T: 4, Eps: 1e-3, Lo: 0, Hi: 1}, "random+crash/n=9,t=4", false, false},
+	}...)
+	checkReuseCases(t, cases)
+}
+
+// reuseCase is one run of a warm-versus-fresh spec list.
+type reuseCase struct {
+	p        core.Params
+	scen     string
+	reliable bool
+	traj     bool
+}
+
+// shapeCases changes protocol, n, and fault composition between every
+// pair of consecutive runs — the E12 usage pattern.
+func shapeCases() []reuseCase {
+	return []reuseCase{
 		{core.Params{Protocol: core.ProtoCrash, N: 9, T: 4, Eps: 1e-3, Lo: 0, Hi: 1}, "random+crash/n=9,t=4", false, false},
 		{core.Params{Protocol: core.ProtoWitness, N: 7, T: 2, Eps: 1e-3, Lo: 0, Hi: 1}, "splitviews/n=7,t=2", false, false},
 		{core.Params{Protocol: core.ProtoCrash, N: 17, T: 8, Eps: 1e-3, Lo: 0, Hi: 1}, "skew+crash/n=17,t=8", false, false},
 		{core.Params{Protocol: core.ProtoWitness, N: 13, T: 4, Eps: 1e-3, Lo: 0, Hi: 1}, "partition+equivocate/n=13,t=4", false, false},
 		{core.Params{Protocol: core.ProtoSync, N: 9, T: 2, Eps: 1e-3, Lo: 0, Hi: 1, RoundDuration: 10}, "sync:5/n=9,t=2", false, false},
 		{core.Params{Protocol: core.ProtoByzTrim, N: 15, T: 2, Eps: 1e-3, Lo: 0, Hi: 1}, "staggered+extreme/n=15,t=2", false, true},
-		{core.Params{Protocol: core.ProtoCrash, N: 10, T: 4, Eps: 1e-3, Lo: 0, Hi: 1}, "random+loss:0.05/n=10,t=4", true, false},
-		{core.Params{Protocol: core.ProtoCrash, N: 9, T: 2, Eps: 1e-3, Lo: 0, Hi: 1, Adaptive: true}, "random+recover:2:50:30/n=9,t=2", true, false},
-		{core.Params{Protocol: core.ProtoByzTrim, N: 15, T: 2, Eps: 1e-3, Lo: 0, Hi: 1}, "splitviews+amplifier/n=15,t=2", false, true},
-		{core.Params{Protocol: core.ProtoCrash, N: 34, T: 16, Eps: 1e-3, Lo: 0, Hi: 1}, "random+crash/n=34,t=16", false, false},
-		{core.Params{Protocol: core.ProtoCrash, N: 9, T: 4, Eps: 1e-3, Lo: 0, Hi: 1}, "random+crash/n=9,t=4", false, false},
 	}
+}
+
+// checkReuseCases builds a spec per case (seed 23, bimodal inputs) and
+// checks the list with checkWarmEqualsFresh.
+func checkReuseCases(t *testing.T, cases []reuseCase) {
+	t.Helper()
 	var labels []string
 	var specs []Spec
 	for _, c := range cases {
@@ -97,6 +114,13 @@ func TestRunContextReuseByteIdentical(t *testing.T) {
 		specs = append(specs, spec)
 	}
 	checkWarmEqualsFresh(t, labels, specs)
+}
+
+// TestRunContextSurvivesShapeChanges drives one context through the
+// shape-changing runs alone, so a leak across a protocol, n, or fault
+// change is reported without the transport and restart runs in the way.
+func TestRunContextSurvivesShapeChanges(t *testing.T) {
+	checkReuseCases(t, shapeCases())
 }
 
 // TestRunContextReuseByteIdenticalLargeN is the large-n arm: the list
