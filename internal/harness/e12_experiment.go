@@ -26,9 +26,35 @@ func E12LargeN() (*trace.Table, error) {
 // time sane). One seed per scenario: the point is scale and composition
 // coverage, not seed statistics — E1–E9 own those.
 func E12LargeNSizes(sizes []int) (*trace.Table, error) {
+	rows, specs, err := e12LargeNSpecs(sizes)
+	if err != nil {
+		return nil, err
+	}
+	reps, err := RunAllLabeled(specs, func(i int) string { return "E12 " + rows[i].scen.String() })
+	if err != nil {
+		return nil, err
+	}
 	tbl := trace.NewTable("E12: large-n scenario sweep (crash-aa at (n-1)/2 + composite scenarios on byztrim-aa, eps=1e-3, bimodal inputs over [0,1])",
 		"scenario", "protocol", "virt-rounds", "msgs", "deliveries", "final-spread", "ok")
+	for i, r := range rows {
+		rep := reps[i]
+		tbl.AddRow(r.scen.String(), r.proto.String(),
+			trace.F(rep.Result.Rounds()), trace.I(rep.Result.Stats.MessagesSent),
+			trace.I(rep.Result.Stats.MessagesDelivered), trace.F(rep.FinalSpread),
+			trace.B(rep.OK()))
+	}
+	return tbl, nil
+}
 
+// e12Row is one row of the E12 large-n sweep.
+type e12Row struct {
+	scen  scenario.Spec
+	proto core.Protocol
+}
+
+// e12LargeNSpecs enumerates E12LargeNSizes' runs in table order: the
+// scale cross-product (sizes outermost), then the n=64 composites.
+func e12LargeNSpecs(sizes []int) ([]e12Row, []Spec, error) {
 	crashT := func(n int) int { return (n - 1) / 2 }
 	scale := scenario.Cross(scenario.SuiteSchedulers(), [][]string{nil, {"crash"}}, sizes, crashT)
 
@@ -42,45 +68,29 @@ func E12LargeNSizes(sizes []int) (*trace.Table, error) {
 		scenario.MustParse("random+silent+extreme+spam/n=64,t=9"),
 	}
 
-	type row struct {
-		scen  scenario.Spec
-		proto core.Protocol
-	}
-	rows := make([]row, 0, len(scale)+len(composites))
+	rows := make([]e12Row, 0, len(scale)+len(composites))
 	specs := make([]Spec, 0, cap(rows))
 	for _, scen := range scale {
 		p := core.Params{Protocol: core.ProtoCrash, N: scen.N, T: scen.T, Eps: 1e-3, Lo: 0, Hi: 1}
 		spec, err := SpecFrom(p, BimodalInputs(scen.N, 0, 1), scen, 17)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		spec.MaxEvents = 20_000_000
-		rows = append(rows, row{scen: scen, proto: p.Protocol})
+		rows = append(rows, e12Row{scen: scen, proto: p.Protocol})
 		specs = append(specs, spec)
 	}
 	for _, scen := range composites {
 		p := core.Params{Protocol: core.ProtoByzTrim, N: scen.N, T: scen.T, Eps: 1e-3, Lo: 0, Hi: 1}
 		spec, err := SpecFrom(p, BimodalInputs(scen.N, 0, 1), scen, 17)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		spec.MaxEvents = 20_000_000
-		rows = append(rows, row{scen: scen, proto: p.Protocol})
+		rows = append(rows, e12Row{scen: scen, proto: p.Protocol})
 		specs = append(specs, spec)
 	}
-
-	reps, err := RunAllLabeled(specs, func(i int) string { return "E12 " + rows[i].scen.String() })
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range rows {
-		rep := reps[i]
-		tbl.AddRow(r.scen.String(), r.proto.String(),
-			trace.F(rep.Result.Rounds()), trace.I(rep.Result.Stats.MessagesSent),
-			trace.I(rep.Result.Stats.MessagesDelivered), trace.F(rep.FinalSpread),
-			trace.B(rep.OK()))
-	}
-	return tbl, nil
+	return rows, specs, nil
 }
 
 // E12XL is the extra-large-n slice: n ∈ {1024, 4096}. It is not part of

@@ -205,10 +205,16 @@ func traceDigest(trace []deliveryRecord, res *sim.Result) string {
 	for _, r := range trace {
 		fmt.Fprintf(&sb, "%d %d %d %d %d\n", r.Now, r.From, r.To, r.Seq, r.Len)
 	}
-	fmt.Fprintf(&sb, "stats=%+v finish=%d maxdelay=%d honest=%v\n",
+	writeResult(&sb, res)
+	return sha(sb.String())
+}
+
+// writeResult renders every field of a simulator result: stats, finish
+// time, max honest delay, honest set, then decisions by party id.
+func writeResult(sb *strings.Builder, res *sim.Result) {
+	fmt.Fprintf(sb, "stats=%+v finish=%d maxdelay=%d honest=%v\n",
 		res.Stats, res.FinishTime, res.MaxHonestDelay, res.Honest)
 	for _, id := range slices.Sorted(maps.Keys(res.Decisions)) {
-		fmt.Fprintf(&sb, "%d %v %d\n", id, res.Decisions[id], res.DecidedAt[id])
+		fmt.Fprintf(sb, "%d %v %d\n", id, res.Decisions[id], res.DecidedAt[id])
 	}
-	return sha(sb.String())
 }

@@ -3,8 +3,6 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"maps"
-	"slices"
 	"strings"
 	"testing"
 
@@ -25,16 +23,11 @@ import (
 // equal exactly when their strings do.
 func reportString(rep *Report) string {
 	var sb strings.Builder
-	r := rep.Result
 	fmt.Fprintf(&sb, "err=%v proto=%v hull=[%v,%v] spread=%v->%v valid=%v agree=%v\n",
 		rep.RunErr, rep.ProtoErrs, rep.HullLo, rep.HullHi, rep.InitialSpread, rep.FinalSpread,
 		rep.ValidityOK, rep.AgreementOK)
 	fmt.Fprintf(&sb, "transport=%+v checkpoints=%x trajectory=%v\n", rep.Transport, rep.Checkpoints, rep.Trajectory)
-	fmt.Fprintf(&sb, "stats=%+v finish=%d maxdelay=%d honest=%v\n",
-		r.Stats, r.FinishTime, r.MaxHonestDelay, r.Honest)
-	for _, id := range slices.Sorted(maps.Keys(r.Decisions)) {
-		fmt.Fprintf(&sb, "%d %v %d\n", id, r.Decisions[id], r.DecidedAt[id])
-	}
+	writeResult(&sb, rep.Result)
 	return sb.String()
 }
 
@@ -59,21 +52,23 @@ func checkWarmEqualsFresh(t *testing.T, labels []string, specs []Spec) {
 	}
 }
 
-// TestRunContextReuseByteIdentical drives one context through the shape
-// changes of shapeCases and then through changes of transport, restart
-// plan, and trajectory recording, and checks every report against a fresh
-// context's. Any state leaking across a Reset — in the simulator, a
-// protocol party, an RBC slab, or a relnet link — would perturb some run's
-// schedule or decision and surface as a report diff.
+// TestRunContextReuseByteIdentical drives one context through changes of
+// transport, restart plan, and trajectory recording, and checks every
+// report against a fresh context's. The list opens with a witness run so
+// that each checked transport, restart, or trajectory run starts on a
+// context last used by a run of a different shape. Any state leaking
+// across a Reset — in the simulator, a protocol party, an RBC slab, or a
+// relnet link — would perturb some run's schedule or decision and surface
+// as a report diff.
 func TestRunContextReuseByteIdentical(t *testing.T) {
-	cases := append(shapeCases(), []reuseCase{
+	checkReuseCases(t, []reuseCase{
+		{core.Params{Protocol: core.ProtoWitness, N: 7, T: 2, Eps: 1e-3, Lo: 0, Hi: 1}, "splitviews/n=7,t=2", false, false},
 		{core.Params{Protocol: core.ProtoCrash, N: 10, T: 4, Eps: 1e-3, Lo: 0, Hi: 1}, "random+loss:0.05/n=10,t=4", true, false},
 		{core.Params{Protocol: core.ProtoCrash, N: 9, T: 2, Eps: 1e-3, Lo: 0, Hi: 1, Adaptive: true}, "random+recover:2:50:30/n=9,t=2", true, false},
 		{core.Params{Protocol: core.ProtoByzTrim, N: 15, T: 2, Eps: 1e-3, Lo: 0, Hi: 1}, "splitviews+amplifier/n=15,t=2", false, true},
 		{core.Params{Protocol: core.ProtoCrash, N: 34, T: 16, Eps: 1e-3, Lo: 0, Hi: 1}, "random+crash/n=34,t=16", false, false},
 		{core.Params{Protocol: core.ProtoCrash, N: 9, T: 4, Eps: 1e-3, Lo: 0, Hi: 1}, "random+crash/n=9,t=4", false, false},
-	}...)
-	checkReuseCases(t, cases)
+	})
 }
 
 // reuseCase is one run of a warm-versus-fresh spec list.
@@ -82,19 +77,6 @@ type reuseCase struct {
 	scen     string
 	reliable bool
 	traj     bool
-}
-
-// shapeCases changes protocol, n, and fault composition between every
-// pair of consecutive runs — the E12 usage pattern.
-func shapeCases() []reuseCase {
-	return []reuseCase{
-		{core.Params{Protocol: core.ProtoCrash, N: 9, T: 4, Eps: 1e-3, Lo: 0, Hi: 1}, "random+crash/n=9,t=4", false, false},
-		{core.Params{Protocol: core.ProtoWitness, N: 7, T: 2, Eps: 1e-3, Lo: 0, Hi: 1}, "splitviews/n=7,t=2", false, false},
-		{core.Params{Protocol: core.ProtoCrash, N: 17, T: 8, Eps: 1e-3, Lo: 0, Hi: 1}, "skew+crash/n=17,t=8", false, false},
-		{core.Params{Protocol: core.ProtoWitness, N: 13, T: 4, Eps: 1e-3, Lo: 0, Hi: 1}, "partition+equivocate/n=13,t=4", false, false},
-		{core.Params{Protocol: core.ProtoSync, N: 9, T: 2, Eps: 1e-3, Lo: 0, Hi: 1, RoundDuration: 10}, "sync:5/n=9,t=2", false, false},
-		{core.Params{Protocol: core.ProtoByzTrim, N: 15, T: 2, Eps: 1e-3, Lo: 0, Hi: 1}, "staggered+extreme/n=15,t=2", false, true},
-	}
 }
 
 // checkReuseCases builds a spec per case (seed 23, bimodal inputs) and
@@ -116,36 +98,41 @@ func checkReuseCases(t *testing.T, cases []reuseCase) {
 	checkWarmEqualsFresh(t, labels, specs)
 }
 
-// TestRunContextSurvivesShapeChanges drives one context through the
-// shape-changing runs alone, so a leak across a protocol, n, or fault
-// change is reported without the transport and restart runs in the way.
+// TestRunContextSurvivesShapeChanges drives one context through runs that
+// change protocol, n, and fault composition between every consecutive
+// pair — the E12 usage pattern — so a leak across a shape change is
+// reported on its own.
 func TestRunContextSurvivesShapeChanges(t *testing.T) {
-	checkReuseCases(t, shapeCases())
+	checkReuseCases(t, []reuseCase{
+		{core.Params{Protocol: core.ProtoCrash, N: 9, T: 4, Eps: 1e-3, Lo: 0, Hi: 1}, "random+crash/n=9,t=4", false, false},
+		{core.Params{Protocol: core.ProtoWitness, N: 7, T: 2, Eps: 1e-3, Lo: 0, Hi: 1}, "splitviews/n=7,t=2", false, false},
+		{core.Params{Protocol: core.ProtoCrash, N: 17, T: 8, Eps: 1e-3, Lo: 0, Hi: 1}, "skew+crash/n=17,t=8", false, false},
+		{core.Params{Protocol: core.ProtoWitness, N: 13, T: 4, Eps: 1e-3, Lo: 0, Hi: 1}, "partition+equivocate/n=13,t=4", false, false},
+		{core.Params{Protocol: core.ProtoSync, N: 9, T: 2, Eps: 1e-3, Lo: 0, Hi: 1, RoundDuration: 10}, "sync:5/n=9,t=2", false, false},
+		{core.Params{Protocol: core.ProtoByzTrim, N: 15, T: 2, Eps: 1e-3, Lo: 0, Hi: 1}, "staggered+extreme/n=15,t=2", false, true},
+	})
 }
 
-// TestRunContextReuseByteIdenticalLargeN is the large-n arm: the list
-// above never engages the calendar queue's overflow migration,
-// multi-block payload turnover, or the party-pool shrink path the way
-// n ≥ 64 message volumes do, so the E12 scenario set at n ∈ {64, 128}
-// (sizes alternate, forcing the context to grow and shrink) runs through
-// one warm context and is checked against fresh contexts.
+// TestRunContextReuseByteIdenticalLargeN is the large-n arm: the lists
+// above never engage the calendar queue's overflow migration, multi-block
+// payload turnover, or the party-pool shrink path the way n ≥ 64 message
+// volumes do. The whole E12 run list at n ∈ {64, 128}, in table order,
+// runs through one warm context and is checked against fresh contexts.
+// That order grows the context from n=64 to n=128 on the crash protocol,
+// then shrinks it back to n=64 for the byztrim composites with Byzantine
+// faults, so the shrink path and a protocol switch at large n are both
+// exercised.
 func TestRunContextReuseByteIdenticalLargeN(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a large-n sweep twice; run without -short")
 	}
-	scens := scenario.Cross(scenario.SuiteSchedulers(), [][]string{nil, {"crash"}}, []int{64, 128},
-		func(n int) int { return (n - 1) / 2 })
-	var labels []string
-	var specs []Spec
-	for _, scen := range scens {
-		p := core.Params{Protocol: core.ProtoCrash, N: scen.N, T: scen.T, Eps: 1e-3, Lo: 0, Hi: 1}
-		spec, err := SpecFrom(p, BimodalInputs(scen.N, 0, 1), scen, 17)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec.MaxEvents = 20_000_000
-		labels = append(labels, scen.String())
-		specs = append(specs, spec)
+	rows, specs, err := e12LargeNSpecs([]int{64, 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := make([]string, len(rows))
+	for i, r := range rows {
+		labels[i] = r.proto.String() + " " + r.scen.String()
 	}
 	checkWarmEqualsFresh(t, labels, specs)
 }
