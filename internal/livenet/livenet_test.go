@@ -337,7 +337,7 @@ func TestLiveShedTimeoutRestartInterplay(t *testing.T) {
 		SendTimeout:    2 * time.Millisecond,
 		Reliable:       true,
 		RestartParties: 1,
-		RestartAfter:   15 * time.Millisecond,
+		RestartAfter:   3 * time.Millisecond,
 		RestartDown:    20 * time.Millisecond,
 	})
 	if err != nil {
