@@ -180,23 +180,56 @@ func TestCoreEquivalenceTraces(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", scen, err)
 				}
-				var trace []deliveryRecord
-				spec.Observer = func(now sim.Time, env sim.Envelope) {
-					trace = append(trace, deliveryRecord{
-						Now: now, From: env.From, To: env.To, Seq: env.Seq, Len: len(env.Data),
-					})
-				}
-				rep, err := Run(spec)
-				if err != nil {
-					t.Fatalf("%s: %v", scen, err)
-				}
-				if len(trace) == 0 {
-					t.Fatal("empty delivery trace")
-				}
-				g.check(t, name, traceDigest(trace, rep.Result))
+				checkTrace(t, g, name, spec)
 			})
 		}
 	}
+	// Reliable lossy runs: the ack/retransmit transport sends many
+	// point-to-point frames and arms many retransmit timers per delivery,
+	// so these traces pin the order in which the batched flush schedules
+	// a tick's deferred ops. The crash rows are serve-lossy's shape; the
+	// witness row adds reliable-broadcast traffic on top.
+	for _, rc := range []struct {
+		proto core.Protocol
+		scen  string
+	}{
+		{core.ProtoCrash, "random+loss:0.05+dup:0.02/n=10,t=3"},
+		{core.ProtoCrash, "random+crash+loss:0.05+dup:0.02/n=10,t=3"},
+		{core.ProtoWitness, "random+loss:0.05+dup:0.02/n=10,t=3"},
+	} {
+		name := "reliable-" + rc.proto.String() + "/" + rc.scen
+		t.Run(name, func(t *testing.T) {
+			scen := scenario.MustParse(rc.scen)
+			p := core.Params{Protocol: rc.proto, N: scen.N, T: scen.T, Eps: 1e-3, Lo: 0, Hi: 100}
+			spec, err := SpecFrom(p, BimodalInputs(p.N, 0, 100), scen, 17)
+			if err != nil {
+				t.Fatalf("%s: %v", scen, err)
+			}
+			spec.Reliable = true
+			spec.MaxEvents = 20_000_000
+			checkTrace(t, g, name, spec)
+		})
+	}
+}
+
+// checkTrace runs spec with a delivery-trace observer and checks the
+// trace and result digest against the golden file under key.
+func checkTrace(t *testing.T, g *goldenFile, key string, spec Spec) {
+	t.Helper()
+	var trace []deliveryRecord
+	spec.Observer = func(now sim.Time, env sim.Envelope) {
+		trace = append(trace, deliveryRecord{
+			Now: now, From: env.From, To: env.To, Seq: env.Seq, Len: len(env.Data),
+		})
+	}
+	rep, err := Run(spec)
+	if err != nil {
+		t.Fatalf("%s: %v", key, err)
+	}
+	if len(trace) == 0 {
+		t.Fatal("empty delivery trace")
+	}
+	g.check(t, key, traceDigest(trace, rep.Result))
 }
 
 // traceDigest hashes a delivery trace plus the run's result.
