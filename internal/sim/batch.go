@@ -27,9 +27,9 @@ import "slices"
 //     deliveries trigger them. Batched, sends and timers are DEFERRED:
 //     api.Send/SetTimer only record a pending op tagged with the index of
 //     the tick event being processed (its trigger), and a tick-end flush
-//     schedules the ops in trigger order — a stable in-place sort by
-//     trigger index — so the Seq and rng streams are exactly the
-//     per-envelope ones.
+//     schedules the ops in trigger order — a stable counting sort of op
+//     indices by trigger index — so the Seq and rng streams are exactly
+//     the per-envelope ones.
 //  2. Mid-tick termination. Per-envelope delivery stops at the exact event
 //     that decides the last pending honest party; later same-tick events
 //     are never delivered and their sends never happen. Batched, the tick
@@ -254,7 +254,7 @@ func (n *Network) runTickBatched(tick []event) {
 			}
 		}
 	}
-	n.flushPending(maxTrig)
+	n.flushPending(len(tick), maxTrig)
 	n.fireObservers(tick, maxTrig)
 	n.delivTrig = n.delivTrig[:0]
 }
@@ -317,20 +317,17 @@ func (n *Network) deliverEvent(ps *partyState, ev *event, trig int32) {
 
 // flushPending schedules the tick's deferred ops: Seq assignment,
 // scheduler delay draws, honest-delay tracking, and queue pushes happen
-// here, in trigger order (a stable in-place sort — multicast coalescing
-// keeps the op count proportional to protocol actions, so a comparison
-// sort stays cheap), which makes the Seq and rng streams identical to
-// per-envelope delivery's. Ops with trig > maxTrig were triggered after
-// the run-completing event: per-envelope delivery never reached them, so
-// they are dropped and their send-time stats backed out.
-func (n *Network) flushPending(maxTrig int32) {
+// here, in trigger order, which makes the Seq and rng streams identical to
+// per-envelope delivery's. The order comes from a stable counting sort of
+// op indices keyed on trig, which lies in [0, ntrig): O(ops + ntrig), and
+// the ops themselves never move. Ops with trig > maxTrig were triggered
+// after the run-completing event: per-envelope delivery never reached
+// them, so they are dropped and their send-time stats backed out.
+func (n *Network) flushPending(ntrig int, maxTrig int32) {
 	if len(n.pend) == 0 {
 		return
 	}
-	slices.SortStableFunc(n.pend, func(a, b pendingOp) int {
-		return int(a.trig) - int(b.trig)
-	})
-	for i := range n.pend {
+	for _, i := range n.sortPending(ntrig) {
 		op := &n.pend[i]
 		if op.trig > maxTrig {
 			// Triggered past the completion point: per-envelope delivery
@@ -357,11 +354,38 @@ func (n *Network) flushPending(maxTrig int32) {
 	n.pend = n.pend[:0]
 }
 
+// sortPending returns the indices of n.pend ordered by trig, ties kept in
+// append order. Its count and order buffers are reused across ticks and
+// runs.
+func (n *Network) sortPending(ntrig int) []int32 {
+	if cap(n.pendStart) < ntrig+1 {
+		n.pendStart = make([]int32, ntrig+1, 2*ntrig+1)
+	}
+	start := n.pendStart[:ntrig+1]
+	clear(start)
+	for i := range n.pend {
+		start[n.pend[i].trig+1]++
+	}
+	for t := 1; t < len(start); t++ {
+		start[t] += start[t-1]
+	}
+	if cap(n.pendOrder) < len(n.pend) {
+		n.pendOrder = make([]int32, len(n.pend), 2*len(n.pend))
+	}
+	order := n.pendOrder[:len(n.pend)]
+	for i := range n.pend {
+		t := n.pend[i].trig
+		order[start[t]] = int32(i)
+		start[t]++
+	}
+	return order
+}
+
 // scheduleTimer assigns the next Seq and queues a timer expiry for a
 // party — the single tail of the immediate and the deferred SetTimer.
 func (n *Network) scheduleTimer(p PartyID, delay Time, tag uint64) {
 	n.seq++
-	n.queue.Push(event{
+	n.queue.Push(&event{
 		at:    n.now + delay,
 		env:   Envelope{From: p, To: p, Seq: n.seq},
 		timer: true,
@@ -378,9 +402,9 @@ func (n *Network) scheduleTimer(p PartyID, delay Time, tag uint64) {
 // Scheduler takes the original delay-only path.
 func (n *Network) scheduleSend(from, to PartyID, data []byte) {
 	n.seq++
-	env := Envelope{From: from, To: to, Data: data, Sent: n.now, Seq: n.seq}
+	ev := event{env: Envelope{From: from, To: to, Data: data, Sent: n.now, Seq: n.seq}}
 	if n.fate == nil {
-		delay := n.cfg.Scheduler.Delay(env, n.now, n.rng)
+		delay := n.cfg.Scheduler.Delay(ev.env, n.now, n.rng)
 		if delay < 1 {
 			delay = 1
 		}
@@ -390,10 +414,11 @@ func (n *Network) scheduleSend(from, to PartyID, data []byte) {
 		if !n.faulty[from] && !n.faulty[to] && delay > n.maxHonestDelay {
 			n.maxHonestDelay = delay
 		}
-		n.queue.Push(event{at: n.now + delay, env: env})
+		ev.at = n.now + delay
+		n.queue.Push(&ev)
 		return
 	}
-	f := FateOf(n.fate, env, n.now, n.rng)
+	f := FateOf(n.fate, ev.env, n.now, n.rng)
 	if f.Drop {
 		// Dropped sends never feed MaxHonestDelay: round complexity is
 		// measured on messages the network actually delivers.
@@ -403,13 +428,15 @@ func (n *Network) scheduleSend(from, to PartyID, data []byte) {
 	if !n.faulty[from] && !n.faulty[to] && f.Delay > n.maxHonestDelay {
 		n.maxHonestDelay = f.Delay
 	}
-	n.queue.Push(event{at: n.now + f.Delay, env: env})
+	ev.at = n.now + f.Delay
+	n.queue.Push(&ev)
 	if f.DupExtra > 0 {
 		// The duplicate shares the envelope (Seq and payload): arena
 		// payload blocks are recycled only at Reset, so the bytes stay
 		// valid for the later delivery. The extra lag is not an honest
 		// delay — the primary copy already bounds eventual delivery.
 		n.stats.MessagesDuped++
-		n.queue.Push(event{at: n.now + f.Delay + f.DupExtra, env: env})
+		ev.at += f.DupExtra
+		n.queue.Push(&ev)
 	}
 }

@@ -74,16 +74,22 @@ func newCalendarQueue() *calendarQueue {
 // Len reports the number of pending events.
 func (q *calendarQueue) Len() int { return q.inWheel + q.overflow.Len() }
 
-// alloc takes a node from the free list (or grows the arena) and stores e.
-func (q *calendarQueue) alloc(e event) int32 {
+// alloc takes a node from the free list (or grows the arena) and copies
+// *e straight into it: the event moves once, from the caller's frame to
+// its arena slot.
+func (q *calendarQueue) alloc(e *event) int32 {
+	var idx int32
 	if q.freeHead >= 0 {
-		idx := q.freeHead
+		idx = q.freeHead
 		q.freeHead = q.arena[idx].next
-		q.arena[idx] = calNode{ev: e, next: -1}
-		return idx
+	} else {
+		q.arena = append(q.arena, calNode{})
+		idx = int32(len(q.arena) - 1)
 	}
-	q.arena = append(q.arena, calNode{ev: e, next: -1})
-	return int32(len(q.arena) - 1)
+	n := &q.arena[idx]
+	n.ev = *e
+	n.next = -1
+	return idx
 }
 
 // Reset empties the wheel and overflow heap and rewinds the window to tick
@@ -120,18 +126,19 @@ func (q *calendarQueue) Reset() {
 	q.overflow.Reset()
 }
 
-// Push inserts an event. Its time must be strictly after every tick
+// Push inserts a copy of *e. Its time must be strictly after every tick
 // already popped (the simulator guarantees this: delays are >= 1).
-func (q *calendarQueue) Push(e event) {
+func (q *calendarQueue) Push(e *event) {
 	if e.at >= q.base+wheelSize {
-		q.overflow.Push(e)
+		q.overflow.Push(*e)
 		return
 	}
 	q.insert(e)
 }
 
-// insert appends e to its wheel bucket. e.at must lie inside the window.
-func (q *calendarQueue) insert(e event) {
+// insert appends a copy of *e to its wheel bucket. e.at must lie inside
+// the window.
+func (q *calendarQueue) insert(e *event) {
 	idx := q.alloc(e)
 	slot := int(e.at) & wheelMask
 	b := &q.wheel[slot]
@@ -150,7 +157,8 @@ func (q *calendarQueue) insert(e event) {
 // Seq-ordered (see the ordering invariant above).
 func (q *calendarQueue) drainOverflow() {
 	for q.overflow.Len() > 0 && q.overflow.items[0].at < q.base+wheelSize {
-		q.insert(q.overflow.Pop())
+		e := q.overflow.Pop()
+		q.insert(&e)
 	}
 }
 

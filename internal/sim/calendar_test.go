@@ -41,7 +41,7 @@ func TestCalendarMatchesSortedRandom(t *testing.T) {
 				}
 				seq++
 				e := event{at: now + delay, env: Envelope{Seq: seq}}
-				q.Push(e)
+				q.Push(&e)
 				pushed = append(pushed, e)
 			}
 		}
@@ -90,7 +90,7 @@ func TestCalendarSameTickFIFO(t *testing.T) {
 	q := newCalendarQueue()
 	const k = 100
 	for i := 1; i <= k; i++ {
-		q.Push(event{at: 7, env: Envelope{Seq: uint64(i)}})
+		q.Push(&event{at: 7, env: Envelope{Seq: uint64(i)}})
 	}
 	batch := q.PopTick(nil)
 	if len(batch) != k {
@@ -115,7 +115,7 @@ func TestCalendarArenaRecycles(t *testing.T) {
 	for wave := 0; wave < 50; wave++ {
 		for i := 0; i < 40; i++ {
 			seq++
-			q.Push(event{at: now + 1 + Time(i%5), env: Envelope{Seq: seq}})
+			q.Push(&event{at: now + 1 + Time(i%5), env: Envelope{Seq: seq}})
 		}
 		var buf []event
 		for q.Len() > 0 {

@@ -104,9 +104,12 @@ func (r *Result) HonestSpread() float64 {
 //
 // A Network is resettable: Reset reconfigures it for a new execution while
 // recycling every piece of run state — the event queue's arena, the payload
-// blocks, the per-party records and their random sources. After a warm-up
-// run of the same shape, a Reset + Run cycle performs zero steady-state
-// heap allocations. Reset is provably equivalent to fresh construction
+// blocks, the per-party records and their random sources. A party's source
+// is seeded on its first Rand call of a run, not in Reset, so runs whose
+// parties never draw (honest parties without the reliable transport) pay
+// no seeding; the network's scheduler source is seeded in Reset. After a
+// warm-up run of the same shape, a Reset + Run cycle performs zero
+// steady-state heap allocations. Reset is provably equivalent to fresh construction
 // (every field a run can observe is re-derived from the new Config), which
 // the harness pins by comparing warm and freshly built run contexts
 // report for report.
@@ -145,6 +148,8 @@ type Network struct {
 	stage      [][]int32
 	touched    []int32     // staged destinations, in first-appearance (Seq) order
 	pend       []pendingOp // deferred ops, flushed in trigger order
+	pendStart  []int32     // flush counting sort: per-trigger start offsets
+	pendOrder  []int32     // flush counting sort: pend indices in trigger order
 	delivTrig  []int32     // trigger index of every delivery this tick
 	curTrig    int32       // trigger index of the event being processed
 	decideTrig int32       // largest trigger that produced an honest decision; -1 if none
@@ -241,14 +246,33 @@ type partyState struct {
 	id   PartyID
 	proc Process
 	net  *Network
-	rng  *rand.Rand
+	// rng is the party's random source, seeded from seed on the first Rand
+	// call of a run (seeded records that it was). Seeding a math/rand
+	// source costs about as much as a small run, and only Byzantine
+	// behaviours and the reliable transport ever draw from it.
+	rng    *rand.Rand
+	seed   int64
+	seeded bool
 }
 
 var _ API = (*partyState)(nil)
 
-func (p *partyState) ID() PartyID      { return p.id }
-func (p *partyState) N() int           { return p.net.cfg.N }
-func (p *partyState) Rand() *rand.Rand { return p.rng }
+func (p *partyState) ID() PartyID { return p.id }
+func (p *partyState) N() int      { return p.net.cfg.N }
+
+// Rand returns the party's source, seeded for this run. The stream is the
+// one an eagerly seeded source would give: nothing else draws from it.
+func (p *partyState) Rand() *rand.Rand {
+	if !p.seeded {
+		if p.rng == nil {
+			p.rng = rand.New(rand.NewSource(p.seed))
+		} else {
+			p.rng.Seed(p.seed)
+		}
+		p.seeded = true
+	}
+	return p.rng
+}
 
 func (p *partyState) Send(to PartyID, data []byte) {
 	p.net.send(p.id, to, p.net.arena.snapshot(data))
@@ -349,8 +373,9 @@ func New(cfg Config) (*Network, error) {
 // queue, the payload arena, and the party records of earlier runs. It is
 // observably equivalent to New(cfg): every run-visible field — virtual
 // time, sequence counter, stats, party fault assignments, random sources —
-// is re-derived from cfg, and the reseeded sources produce the same streams
-// a fresh construction would. Attached processes and the observer are
+// is re-derived from cfg. The scheduler source is reseeded here; each
+// party's source gets its seed here and is seeded on the party's first
+// Rand call, so every stream is the one a fresh construction would give. Attached processes and the observer are
 // cleared; reattach with SetProcess (and SetObserver) before Run.
 func (n *Network) Reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
@@ -376,21 +401,9 @@ func (n *Network) Reset(cfg Config) error {
 		copy(grown, n.allParties)
 		n.allParties = grown
 	}
-	// recycled counts the parties whose random source must be re-seeded;
-	// parties created below are seeded at construction (rngSource seeding
-	// is the dominant cost of building a network, so it must happen exactly
-	// once per party per run).
-	recycled := len(n.allParties)
-	if recycled > cfg.N {
-		recycled = cfg.N
-	}
 	for len(n.allParties) < cfg.N {
 		i := len(n.allParties)
-		n.allParties = append(n.allParties, &partyState{
-			id:  PartyID(i),
-			net: n,
-			rng: rand.New(rand.NewSource(partySeed(cfg.Seed, i))),
-		})
+		n.allParties = append(n.allParties, &partyState{id: PartyID(i), net: n})
 	}
 	n.parties = n.allParties[:cfg.N]
 	// Parties beyond the new N keep their records (and warm rand sources)
@@ -401,9 +414,9 @@ func (n *Network) Reset(cfg Config) error {
 	}
 	n.resizeSoA(cfg.N)
 	for i, ps := range n.parties {
-		if i < recycled {
-			ps.rng.Seed(partySeed(cfg.Seed, i))
-		}
+		// The source is seeded lazily, on the party's first Rand call.
+		ps.seed = partySeed(cfg.Seed, i)
+		ps.seeded = false
 		ps.proc = nil
 		n.faulty[i] = false
 		n.byz[i] = false
