@@ -78,6 +78,7 @@ type Batch struct {
 	events []event
 	idxs   []int32
 	pos    int
+	env    Envelope // the envelope Next last returned
 }
 
 // Next returns the next envelope of the batch, or nil when the batch is
@@ -85,8 +86,8 @@ type Batch struct {
 // — copy anything retained past it. Interleaved timer expiries are
 // dispatched to the process's OnTimer from inside Next, at their exact
 // tick position, so a BatchProcess that also uses timers needs no extra
-// handling. Returning a pointer into the tick's event storage keeps the
-// per-delivery cost to index arithmetic (no envelope copy).
+// handling. The envelope is built in the Batch itself, so the pointer
+// costs no allocation.
 func (b *Batch) Next() *Envelope {
 	n := b.net
 	for b.pos < len(b.idxs) {
@@ -100,15 +101,21 @@ func (b *Batch) Next() *Envelope {
 		}
 		ev := &b.events[i]
 		n.curTrig = i
-		if ev.timer {
+		if ev.timer() {
 			if th, ok := b.ps.proc.(TimerHandler); ok {
-				th.OnTimer(ev.tag)
+				th.OnTimer(ev.ref)
 			}
 			continue
 		}
 		n.stats.MessagesDelivered++
 		n.delivTrig = append(n.delivTrig, i)
-		return &ev.env
+		// Field by field: a whole-struct copy of a just-built Envelope
+		// stalls on store-to-load forwarding.
+		e := &b.env
+		e.From, e.To = PartyID(ev.from), PartyID(ev.to)
+		e.Data = n.arena.bytes(ev.ref, ev.size)
+		e.Sent, e.Seq = ev.sent, ev.seq
+		return e
 	}
 	return nil
 }
@@ -130,11 +137,12 @@ func (b *Batch) drain() {
 // truncation-adjusted recipient count) so the pending volume scales with
 // protocol actions, not fan-out.
 type pendingOp struct {
-	data    []byte
+	ref     uint64 // payload reference (see payloadArena.snapshot)
 	tag     uint64
 	delay   Time
 	from    PartyID
 	to      PartyID
+	size    int32 // payload length
 	trig    int32
 	mcastTo int32
 	timer   bool
@@ -200,20 +208,20 @@ func (n *Network) runTickSerial(tick []event, events *int, budget int) error {
 		}
 		*events++
 		ev := &tick[i]
-		if n.crashed[ev.env.To] {
+		if n.crashed[ev.to] {
 			continue
 		}
-		dst := n.parties[ev.env.To]
-		if ev.timer {
+		dst := n.parties[ev.to]
+		if ev.timer() {
 			if th, ok := dst.proc.(TimerHandler); ok {
-				th.OnTimer(ev.tag)
+				th.OnTimer(ev.ref)
 			}
 			continue
 		}
 		n.stats.MessagesDelivered++
-		dst.proc.Deliver(ev.env.From, ev.env.Data)
+		dst.proc.Deliver(PartyID(ev.from), n.arena.bytes(ev.ref, ev.size))
 		if n.observer != nil {
-			n.observer(n.now, ev.env)
+			n.observer(n.now, n.envelope(ev))
 		}
 	}
 	return nil
@@ -226,9 +234,9 @@ func (n *Network) runTickBatched(tick []event) {
 	// Staging stores indices into the tick slice (not copies); tick is
 	// stable until the next PopTick.
 	for i := range tick {
-		to := tick[i].env.To
+		to := tick[i].to
 		if len(n.stage[to]) == 0 {
-			n.touched = append(n.touched, int32(to))
+			n.touched = append(n.touched, to)
 		}
 		n.stage[to] = append(n.stage[to], int32(i))
 	}
@@ -276,7 +284,7 @@ func (n *Network) fireObservers(batch []event, maxTrig int32) {
 		if trig > maxTrig {
 			break
 		}
-		n.observer(n.now, batch[trig].env)
+		n.observer(n.now, n.envelope(&batch[trig]))
 	}
 }
 
@@ -304,15 +312,26 @@ func (n *Network) deliverEvent(ps *partyState, ev *event, trig int32) {
 		return
 	}
 	n.curTrig = trig
-	if ev.timer {
+	if ev.timer() {
 		if th, ok := ps.proc.(TimerHandler); ok {
-			th.OnTimer(ev.tag)
+			th.OnTimer(ev.ref)
 		}
 		return
 	}
 	n.stats.MessagesDelivered++
 	n.delivTrig = append(n.delivTrig, trig)
-	ps.proc.Deliver(ev.env.From, ev.env.Data)
+	ps.proc.Deliver(PartyID(ev.from), n.arena.bytes(ev.ref, ev.size))
+}
+
+// envelope builds the Envelope of a queued delivery.
+func (n *Network) envelope(ev *event) Envelope {
+	return Envelope{
+		From: PartyID(ev.from),
+		To:   PartyID(ev.to),
+		Data: n.arena.bytes(ev.ref, ev.size),
+		Sent: ev.sent,
+		Seq:  ev.seq,
+	}
 }
 
 // flushPending schedules the tick's deferred ops: Seq assignment,
@@ -336,20 +355,18 @@ func (n *Network) flushPending(ntrig int, maxTrig int32) {
 			if op.timer {
 				continue
 			}
-			n.countSends(op.from, -max(1, int(op.mcastTo)), len(op.data))
-			op.data = nil
+			n.countSends(op.from, -max(1, int(op.mcastTo)), int(op.size))
 			continue
 		}
 		if op.timer {
 			n.scheduleTimer(op.from, op.delay, op.tag)
 		} else if op.mcastTo > 0 {
 			for to := PartyID(0); to < PartyID(op.mcastTo); to++ {
-				n.scheduleSend(op.from, to, op.data)
+				n.scheduleSend(op.from, to, op.ref, op.size)
 			}
 		} else {
-			n.scheduleSend(op.from, op.to, op.data)
+			n.scheduleSend(op.from, op.to, op.ref, op.size)
 		}
-		op.data = nil
 	}
 	n.pend = n.pend[:0]
 }
@@ -386,10 +403,12 @@ func (n *Network) sortPending(ntrig int) []int32 {
 func (n *Network) scheduleTimer(p PartyID, delay Time, tag uint64) {
 	n.seq++
 	n.queue.Push(&event{
-		at:    n.now + delay,
-		env:   Envelope{From: p, To: p, Seq: n.seq},
-		timer: true,
-		tag:   tag,
+		at:   n.now + delay,
+		seq:  n.seq,
+		from: int32(p),
+		to:   int32(p),
+		ref:  tag,
+		size: timerSize,
 	})
 }
 
@@ -400,11 +419,16 @@ func (n *Network) scheduleTimer(p PartyID, delay Time, tag uint64) {
 // FateScheduler the send can be dropped (no event queued) or duplicated
 // (a second event at Delay+DupExtra sharing the envelope); a plain
 // Scheduler takes the original delay-only path.
-func (n *Network) scheduleSend(from, to PartyID, data []byte) {
+func (n *Network) scheduleSend(from, to PartyID, ref uint64, size int32) {
 	n.seq++
-	ev := event{env: Envelope{From: from, To: to, Data: data, Sent: n.now, Seq: n.seq}}
+	// Built field by field, not as a literal: the compiler would build a
+	// literal in a temporary and block-copy it (see alloc).
+	var ev event
+	ev.seq, ev.sent = n.seq, n.now
+	ev.from, ev.to = int32(from), int32(to)
+	ev.ref, ev.size = ref, size
 	if n.fate == nil {
-		delay := n.cfg.Scheduler.Delay(ev.env, n.now, n.rng)
+		delay := n.cfg.Scheduler.Delay(n.envelope(&ev), n.now, n.rng)
 		if delay < 1 {
 			delay = 1
 		}
@@ -418,7 +442,7 @@ func (n *Network) scheduleSend(from, to PartyID, data []byte) {
 		n.queue.Push(&ev)
 		return
 	}
-	f := FateOf(n.fate, ev.env, n.now, n.rng)
+	f := FateOf(n.fate, n.envelope(&ev), n.now, n.rng)
 	if f.Drop {
 		// Dropped sends never feed MaxHonestDelay: round complexity is
 		// measured on messages the network actually delivers.

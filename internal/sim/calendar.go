@@ -2,13 +2,28 @@ package sim
 
 import "math/bits"
 
-// event is a scheduled delivery or timer expiry.
+// event is a scheduled delivery or timer expiry. It holds no pointers: a
+// delivery's payload is a reference into the network's payload arena, and
+// a timer's tag shares that reference's slot. An event is 48 bytes, and
+// the queue arena and tick buffer that hold events are pointer-free, so
+// copying one needs no GC write barrier.
 type event struct {
-	at    Time
-	env   Envelope
-	timer bool
-	tag   uint64
+	at   Time
+	seq  uint64
+	sent Time
+	from int32
+	to   int32
+	// ref locates a delivery's payload in the payload arena; for a timer
+	// it is the timer's tag.
+	ref uint64
+	// size is the payload length in bytes, or timerSize for a timer.
+	size int32
 }
+
+// timerSize marks a timer expiry in event.size.
+const timerSize = -1
+
+func (e *event) timer() bool { return e.size == timerSize }
 
 // calendarQueue is the simulator's event queue: a timing wheel of one-tick
 // buckets over the near future, an overflow min-heap for events beyond the
@@ -76,7 +91,9 @@ func (q *calendarQueue) Len() int { return q.inWheel + q.overflow.Len() }
 
 // alloc takes a node from the free list (or grows the arena) and copies
 // *e straight into it: the event moves once, from the caller's frame to
-// its arena slot.
+// its arena slot. The copy goes field by field because a whole-struct
+// copy of an event the caller has just built stalls on store-to-load
+// forwarding.
 func (q *calendarQueue) alloc(e *event) int32 {
 	var idx int32
 	if q.freeHead >= 0 {
@@ -87,40 +104,34 @@ func (q *calendarQueue) alloc(e *event) int32 {
 		idx = int32(len(q.arena) - 1)
 	}
 	n := &q.arena[idx]
-	n.ev = *e
+	n.ev.at, n.ev.seq, n.ev.sent = e.at, e.seq, e.sent
+	n.ev.from, n.ev.to = e.from, e.to
+	n.ev.ref, n.ev.size = e.ref, e.size
 	n.next = -1
 	return idx
 }
 
 // Reset empties the wheel and overflow heap and rewinds the window to tick
-// zero, keeping the arena (and its free list) for the next run. Cost is
-// O(events still pending), not O(arena): only
-// the occupied buckets — found through the occupancy bitmap — are walked,
-// their nodes freed and payload references dropped, so a context recycled
-// from a large-n run resets in constant time for small-n runs. Free-list
-// order after a reset differs from a fresh queue's, but arena indices are
+// zero, keeping the arena's capacity for the next run. Only the occupied
+// buckets — found through the occupancy bitmap — are cleared, so a
+// context recycled from a large-n run resets in constant time for small-n
+// runs. Events hold no pointers, so the nodes themselves need no clearing;
+// the arena is truncated and refilled from its start. Arena indices are
 // invisible to delivery order (buckets chain FIFO and ties break on Seq),
-// so the two are observably identical.
+// so a reset queue is observably identical to a fresh one.
 func (q *calendarQueue) Reset() {
 	if q.inWheel > 0 {
 		for wi, word := range q.occupied {
 			for word != 0 {
 				slot := wi<<6 + bits.TrailingZeros64(word)
 				word &= word - 1
-				b := &q.wheel[slot]
-				for idx := b.head; idx >= 0; {
-					n := &q.arena[idx]
-					next := n.next
-					n.ev = event{}
-					n.next = q.freeHead
-					q.freeHead = idx
-					idx = next
-				}
-				b.head, b.tail = -1, -1
+				q.wheel[slot] = calBucket{head: -1, tail: -1}
 			}
 			q.occupied[wi] = 0
 		}
 	}
+	q.arena = q.arena[:0]
+	q.freeHead = -1
 	q.base = 0
 	q.inWheel = 0
 	q.overflow.Reset()
@@ -204,7 +215,6 @@ func (q *calendarQueue) PopTick(buf []event) []event {
 		n := &q.arena[idx]
 		buf = append(buf, n.ev)
 		next := n.next
-		n.ev = event{} // release the payload reference to the GC
 		n.next = q.freeHead
 		q.freeHead = idx
 		idx = next
@@ -224,19 +234,15 @@ type eventHeap struct {
 
 func (h *eventHeap) Len() int { return len(h.items) }
 
-// Reset empties the heap, keeping the backing array but dropping the
-// payload references of any still-pending events.
-func (h *eventHeap) Reset() {
-	clear(h.items)
-	h.items = h.items[:0]
-}
+// Reset empties the heap, keeping the backing array.
+func (h *eventHeap) Reset() { h.items = h.items[:0] }
 
 func (h *eventHeap) less(i, j int) bool {
 	a, b := &h.items[i], &h.items[j]
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	return a.env.Seq < b.env.Seq
+	return a.seq < b.seq
 }
 
 // Push inserts an event.
@@ -259,7 +265,6 @@ func (h *eventHeap) Pop() event {
 	top := h.items[0]
 	last := len(h.items) - 1
 	h.items[0] = h.items[last]
-	h.items[last] = event{}
 	h.items = h.items[:last]
 	h.siftDown(0)
 	return top

@@ -40,7 +40,7 @@ func TestCalendarMatchesSortedRandom(t *testing.T) {
 					delay = 1 + Time(rng.Int63n(int64(MaxDelayCap))) // worst case
 				}
 				seq++
-				e := event{at: now + delay, env: Envelope{Seq: seq}}
+				e := event{at: now + delay, seq: seq}
 				q.Push(&e)
 				pushed = append(pushed, e)
 			}
@@ -70,15 +70,15 @@ func TestCalendarMatchesSortedRandom(t *testing.T) {
 			if c := cmp.Compare(a.at, b.at); c != 0 {
 				return c
 			}
-			return cmp.Compare(a.env.Seq, b.env.Seq)
+			return cmp.Compare(a.seq, b.seq)
 		})
 		if len(popped) != len(pushed) {
 			t.Fatalf("seed %d: popped %d of %d pushed events", seed, len(popped), len(pushed))
 		}
 		for i := range pushed {
-			if popped[i].at != pushed[i].at || popped[i].env.Seq != pushed[i].env.Seq {
+			if popped[i].at != pushed[i].at || popped[i].seq != pushed[i].seq {
 				t.Fatalf("seed %d: pop %d: calendar (at=%d seq=%d), oracle (at=%d seq=%d)",
-					seed, i, popped[i].at, popped[i].env.Seq, pushed[i].at, pushed[i].env.Seq)
+					seed, i, popped[i].at, popped[i].seq, pushed[i].at, pushed[i].seq)
 			}
 		}
 	}
@@ -90,15 +90,15 @@ func TestCalendarSameTickFIFO(t *testing.T) {
 	q := newCalendarQueue()
 	const k = 100
 	for i := 1; i <= k; i++ {
-		q.Push(&event{at: 7, env: Envelope{Seq: uint64(i)}})
+		q.Push(&event{at: 7, seq: uint64(i)})
 	}
 	batch := q.PopTick(nil)
 	if len(batch) != k {
 		t.Fatalf("got batch of %d, want %d", len(batch), k)
 	}
 	for i, e := range batch {
-		if e.env.Seq != uint64(i+1) {
-			t.Fatalf("batch[%d] has seq %d, want %d", i, e.env.Seq, i+1)
+		if e.seq != uint64(i+1) {
+			t.Fatalf("batch[%d] has seq %d, want %d", i, e.seq, i+1)
 		}
 	}
 	if q.Len() != 0 {
@@ -115,7 +115,7 @@ func TestCalendarArenaRecycles(t *testing.T) {
 	for wave := 0; wave < 50; wave++ {
 		for i := 0; i < 40; i++ {
 			seq++
-			q.Push(&event{at: now + 1 + Time(i%5), env: Envelope{Seq: seq}})
+			q.Push(&event{at: now + 1 + Time(i%5), seq: seq})
 		}
 		var buf []event
 		for q.Len() > 0 {

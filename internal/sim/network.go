@@ -180,10 +180,12 @@ const arenaBlock = 1 << 16
 // payloadArena is a recycled block arena for message payloads: Send and
 // Multicast snapshot the caller's bytes into the current block, so protocols
 // encode into reusable scratch buffers and a multicast's n envelopes share
-// one copy. A payload slice is valid only while its envelope is in flight
-// (until the delivery callback returns): exhausted blocks are kept and
-// recycled by reset, so memory is bounded by the peak per-run payload volume
-// rather than churned per run.
+// one copy. Queued events name a payload by reference (block index and
+// offset, plus a length), not by slice, which keeps them pointer-free. A
+// payload is valid only while its envelope is in flight (until the delivery
+// callback returns): exhausted blocks are kept and recycled by reset, so
+// memory is bounded by the peak per-run payload volume rather than churned
+// per run.
 type payloadArena struct {
 	blocks [][]byte
 	cur    []byte // blocks[blk], the block currently being carved
@@ -191,21 +193,30 @@ type payloadArena struct {
 	off    int    // write offset into cur
 }
 
-// snapshot copies data into the arena and returns the full-slice copy. The
-// copy is capacity-clipped so appends can never bleed into a neighboring
-// payload. The in-block fast path is kept small enough to inline into
+// snapshot copies data into the arena and returns the copy's reference
+// (block index in the high 32 bits, offset in the low 32) and its length.
+// The in-block fast path is kept small enough to inline into
 // Send/Multicast; block turnover is outlined in nextBlock.
-func (a *payloadArena) snapshot(data []byte) []byte {
+func (a *payloadArena) snapshot(data []byte) (ref uint64, size int32) {
 	if len(data) == 0 {
-		return nil
+		return 0, 0
 	}
 	if a.off+len(data) > len(a.cur) {
 		a.nextBlock(len(data))
 	}
-	buf := a.cur[a.off : a.off+len(data) : a.off+len(data)]
-	a.off += len(data)
-	copy(buf, data)
-	return buf
+	ref = uint64(a.blk)<<32 | uint64(a.off)
+	a.off += copy(a.cur[a.off:], data)
+	return ref, int32(len(data))
+}
+
+// bytes returns the payload a snapshot reference names. The slice is
+// capacity-clipped so appends can never bleed into a neighboring payload.
+func (a *payloadArena) bytes(ref uint64, size int32) []byte {
+	if size <= 0 {
+		return nil
+	}
+	off := int(uint32(ref))
+	return a.blocks[ref>>32][off : off+int(size) : off+int(size)]
 }
 
 // nextBlock advances cur to the next pooled block that fits need bytes,
@@ -275,14 +286,15 @@ func (p *partyState) Rand() *rand.Rand {
 }
 
 func (p *partyState) Send(to PartyID, data []byte) {
-	p.net.send(p.id, to, p.net.arena.snapshot(data))
+	ref, size := p.net.arena.snapshot(data)
+	p.net.send(p.id, to, ref, size)
 }
 
 func (p *partyState) Multicast(data []byte) {
 	// One snapshot shared by all n envelopes: the sender may reuse its
 	// buffer immediately, and the n recipients alias a single copy.
 	n := p.net
-	buf := n.arena.snapshot(data)
+	ref, size := n.arena.snapshot(data)
 	id := p.id
 	if n.crashed[id] {
 		return
@@ -301,15 +313,15 @@ func (p *partyState) Multicast(data []byte) {
 	if k == 0 {
 		return
 	}
-	n.countSends(id, k, len(buf))
+	n.countSends(id, k, int(size))
 	if n.deferOps {
 		// Batched tick in progress: the whole multicast coalesces into one
 		// pending op, expanded recipient by recipient at the flush.
-		n.pend = append(n.pend, pendingOp{data: buf, from: id, trig: n.curTrig, mcastTo: int32(k)})
+		n.pend = append(n.pend, pendingOp{ref: ref, size: size, from: id, trig: n.curTrig, mcastTo: int32(k)})
 		return
 	}
 	for to := PartyID(0); to < PartyID(k); to++ {
-		n.scheduleSend(id, to, buf)
+		n.scheduleSend(id, to, ref, size)
 	}
 }
 
@@ -443,9 +455,8 @@ func (n *Network) Reset(cfg Config) error {
 	n.maxHonestDelay = 0
 	n.pendingHonest = 0
 	n.observer = nil
-	// Batching scratch is empty between ticks by construction; clear
-	// defensively so an aborted run can never leak payload references.
-	clear(n.pend)
+	// Batching scratch is empty between ticks by construction; truncate
+	// defensively so an aborted run can never leak ops into the next.
 	n.pend = n.pend[:0]
 	n.touched = n.touched[:0]
 	n.delivTrig = n.delivTrig[:0]
@@ -519,7 +530,7 @@ func (n *Network) Party(id PartyID) Process {
 // Now exposes the current virtual time (used by observers and tests).
 func (n *Network) Now() Time { return n.now }
 
-func (n *Network) send(from, to PartyID, data []byte) {
+func (n *Network) send(from, to PartyID, ref uint64, size int32) {
 	if n.crashed[from] {
 		return
 	}
@@ -531,15 +542,15 @@ func (n *Network) send(from, to PartyID, data []byte) {
 	if n.sendBudget[from] > 0 {
 		n.sendBudget[from]--
 	}
-	n.countSends(from, 1, len(data))
+	n.countSends(from, 1, int(size))
 	if n.deferOps {
 		// Batched tick in progress: record the send tagged with the event
 		// being processed; Seq assignment and the delay draw happen in
 		// trigger order at the tick-end flush (see batch.go).
-		n.pend = append(n.pend, pendingOp{data: data, from: from, to: to, trig: n.curTrig})
+		n.pend = append(n.pend, pendingOp{ref: ref, size: size, from: from, to: to, trig: n.curTrig})
 		return
 	}
-	n.scheduleSend(from, to, data)
+	n.scheduleSend(from, to, ref, size)
 }
 
 // countSends adds k sends of size bytes from a party to the stats; the
