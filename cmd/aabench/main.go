@@ -28,6 +28,9 @@
 // compare. `make bench-compare` wraps it for the committed trajectory and
 // `make bench-smoke` (CI) compares a fresh reduced run against the
 // committed BENCH_SMOKE.json.
+//
+// -cpuprofile FILE and -memprofile FILE write runtime/pprof CPU and heap
+// profiles of the whole invocation (PERF.md "Profiling").
 package main
 
 import (
@@ -46,6 +49,7 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/microbench"
+	"repro/internal/profile"
 	"repro/internal/serve"
 )
 
@@ -100,8 +104,9 @@ type microBench struct {
 	BytesOp  int64   `json:"bytes_op"`
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("aabench", flag.ContinueOnError)
+	prof := profile.Register(fs)
 	seeds := fs.Int("seeds", 3, "seeds per configuration")
 	only := fs.String("only", "", "comma-separated experiment IDs to run (default: all)")
 	csvDir := fs.String("csv", "", "directory to also write CSV tables into")
@@ -113,6 +118,11 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stop, err := prof.Start()
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stop()) }()
 	if *compareMode {
 		if fs.NArg() != 2 {
 			return errors.New("-compare needs exactly two snapshot files: OLD.json NEW.json")

@@ -279,3 +279,14 @@ func TestRunUnknownExperimentIsSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRunProfileFlagsBadPath checks that an unwritable -cpuprofile or
+// -memprofile path fails the command instead of running unprofiled.
+func TestRunProfileFlagsBadPath(t *testing.T) {
+	bad := filepath.Join(t.TempDir(), "missing", "out.prof")
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		if err := run([]string{"-only", "E99", flag, bad}); err == nil {
+			t.Errorf("run %s %s: accepted an unwritable path", flag, bad)
+		}
+	}
+}

@@ -33,10 +33,14 @@
 // Under -record, Byzantine names resolve through the scenario registry
 // (e.g. "extreme" is the range-relative ExtremeRel, as in scenario specs),
 // so the captured run is exactly the one the bundle replays.
+//
+// -cpuprofile FILE and -memprofile FILE write runtime/pprof CPU and heap
+// profiles of the invocation (PERF.md "Profiling").
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -49,6 +53,7 @@ import (
 	"repro/aa"
 	"repro/internal/harness"
 	"repro/internal/incident"
+	"repro/internal/profile"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 )
@@ -60,8 +65,9 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("aarun", flag.ContinueOnError)
+	prof := profile.Register(fs)
 	model := fs.String("model", "crash", "crash | trim | witness | sync")
 	n := fs.Int("n", 7, "number of parties")
 	t := fs.Int("t", 2, "fault bound")
@@ -85,6 +91,11 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stop, err := prof.Start()
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stop()) }()
 
 	if *replayFlag != "" {
 		return doReplay(*replayFlag)

@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/incident"
@@ -170,5 +171,26 @@ func TestReplayDetectsTampering(t *testing.T) {
 	err = run([]string{"-replay", path})
 	if !errors.Is(err, incident.ErrMalformed) {
 		t.Fatalf("tampered bundle: got %v, want ErrMalformed", err)
+	}
+}
+
+// TestRunProfileFlags checks that -cpuprofile and -memprofile write
+// non-empty profiles, and that an unwritable path fails the command.
+func TestRunProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	if err := run([]string{"-model", "crash", "-n", "4", "-t", "1", "-cpuprofile", cpu, "-memprofile", mem}); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: want a non-empty profile (err %v)", path, err)
+		}
+	}
+	bad := filepath.Join(dir, "missing", "out.prof")
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		if err := run([]string{"-model", "crash", "-n", "4", "-t", "1", flag, bad}); err == nil {
+			t.Errorf("run %s %s: accepted an unwritable path", flag, bad)
+		}
 	}
 }

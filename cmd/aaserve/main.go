@@ -24,15 +24,20 @@
 // captures deadline-exceeded, degraded, and breaker-tripping instances as
 // replayable incident bundles with a printed one-line repro each,
 // mirroring aafuzz -artifacts.
+//
+// -cpuprofile FILE and -memprofile FILE write runtime/pprof CPU and heap
+// profiles of the invocation (PERF.md "Profiling").
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/profile"
 	"repro/internal/serve"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -60,8 +65,9 @@ func protoFromModel(m string) (core.Protocol, error) {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("aaserve", flag.ContinueOnError)
+	prof := profile.Register(fs)
 	workloadFlag := fs.String("workload", "poisson:40+lognormal:4:0.5",
 		"workload spec (internal/workload token grammar)")
 	mult := fs.Float64("mult", 1, "offered-load multiplier applied to the workload's rates")
@@ -100,6 +106,11 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stop, err := prof.Start()
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stop()) }()
 
 	w, err := workload.Parse(*workloadFlag)
 	if err != nil {

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"path/filepath"
+	"testing"
+)
 
 // TestRunVirtual drives the daemon end to end on the deterministic
 // virtual-time engine over a short horizon.
@@ -21,6 +24,17 @@ func TestRunBadFlags(t *testing.T) {
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("run(%q) accepted", args)
+		}
+	}
+}
+
+// TestRunProfileFlagsBadPath checks that an unwritable -cpuprofile or
+// -memprofile path fails the command instead of serving unprofiled.
+func TestRunProfileFlagsBadPath(t *testing.T) {
+	bad := filepath.Join(t.TempDir(), "missing", "out.prof")
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		if err := run([]string{"-mode", "virtual", "-horizon", "300", flag, bad}); err == nil {
+			t.Errorf("run %s %s: accepted an unwritable path", flag, bad)
 		}
 	}
 }
