@@ -90,7 +90,9 @@ type Config struct {
 	// Adaptive lets the parties estimate the spread at runtime instead of
 	// using [Lo, Hi]; cheaper when the real spread is far below the
 	// promised range, but the termination guarantee becomes conditional on
-	// scheduler fairness (see DESIGN.md).
+	// scheduler fairness: the round count comes from the first inputs a
+	// party hears, and a scheduler that holds back the extreme ones can
+	// cut it short (experiment E8 measures this).
 	Adaptive bool
 	// ExtraRounds adds safety rounds beyond the computed budget.
 	ExtraRounds int

@@ -1,8 +1,8 @@
 // Benchmark harness: one benchmark per evaluation artifact (experiments
-// E1–E14 in DESIGN.md — every table and figure), plus micro-benchmarks of
-// the substrates. Each experiment benchmark regenerates its table per
-// iteration; run with -v to see a rendered table. cmd/aabench prints all
-// tables with more seeds.
+// E1–E14, as harness.Experiments lists them — every table and figure),
+// plus micro-benchmarks of the substrates. Each experiment benchmark
+// regenerates its table per iteration; run with -v to see a rendered
+// table. cmd/aabench prints all tables with more seeds.
 package repro_test
 
 import (

@@ -35,8 +35,10 @@ const roundRingLen = 64
 // spread from n−t INIT values, and derives a private horizon which it
 // piggybacks on every VAL message; horizons are joined by maximum. A party
 // that decides multicasts ⟨DECIDED, y⟩, and receivers use y as that party's
-// value for every later round. The adaptive guarantee is conditional (see
-// DESIGN.md §Termination modes); experiment E8 maps the boundary.
+// value for every later round. The adaptive guarantee is conditional on
+// scheduler fairness: a scheduler that keeps the extreme inputs out of the
+// first n−t INIT values shrinks the horizon. Experiment E8 maps the
+// boundary.
 //
 // Bookkeeping is dense (struct-of-arrays, like the witness ring): per-round
 // reception state lives in roundBuckets held by a tag-checked ring indexed

@@ -92,7 +92,9 @@ type Params struct {
 	Lo, Hi float64
 	// Adaptive switches to adaptive termination: parties estimate the
 	// spread from an initial exchange and piggyback round horizons.
-	// Guarantees become conditional on scheduler fairness; see DESIGN.md.
+	// Guarantees become conditional on scheduler fairness: a scheduler
+	// that holds back the extreme inputs can cut the horizon short
+	// (experiment E8 measures this).
 	Adaptive bool
 	// Gamma overrides the per-round contraction budget in (0,1);
 	// zero selects the protocol default.

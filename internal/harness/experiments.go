@@ -19,7 +19,7 @@ type Experiment struct {
 	Run   func() (*trace.Table, error)
 }
 
-// Experiments returns every experiment in DESIGN.md order. Seeds is the
+// Experiments returns every experiment, E1 to E14 in order. Seeds is the
 // number of seeds per configuration (the benchmark suite uses a smaller
 // count than cmd/aabench).
 func Experiments(seeds int) []Experiment {

@@ -71,8 +71,9 @@ type FuzzResult struct {
 // validity, and ε-agreement invariants on each. It is the search a
 // reviewer would run overnight; the unit suite runs a small budget.
 //
-// Adaptive-mode ε-agreement is conditional by design (DESIGN.md), so
-// adaptive trials assert only liveness and validity.
+// Adaptive-mode ε-agreement is conditional on scheduler fairness by
+// design (see aa.Config.Adaptive), so adaptive trials assert only liveness
+// and validity.
 func Fuzz(trials int, seed int64) (*FuzzResult, error) {
 	rng := rand.New(rand.NewSource(seed))
 	res := &FuzzResult{ByProtocol: map[string]int{}}

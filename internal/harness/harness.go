@@ -1,7 +1,7 @@
 // Package harness assembles protocols, scenarios, and input generators
 // into runnable experiments, checks the agreement/validity invariants
-// after every run, and implements the experiment drivers (E1–E13 in
-// DESIGN.md) behind cmd/aabench and the root benchmark suite.
+// after every run, and implements the experiment drivers (E1–E14, listed
+// by Experiments) behind cmd/aabench and the root benchmark suite.
 //
 // Adversary wiring is declarative: drivers enumerate scenario.Spec values
 // (internal/scenario) and lower them to executable Specs with SpecFrom;

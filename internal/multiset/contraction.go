@@ -66,8 +66,8 @@ type contractionSearch struct {
 // canonical structured worst case (one party sees the low end of the pool,
 // the other the high end, with Byzantine values pulling outward) with
 // randomized pools and subsets. The result is a lower bound on the true
-// worst case; EXPERIMENTS.md reports these numbers next to the provable
-// bounds.
+// worst case; experiments E2 and E7 report these numbers next to the
+// provable bounds.
 func WorstContraction(f Func, vm ViewModel, trials int, seed int64) (ContractionReport, error) {
 	if err := vm.Validate(); err != nil {
 		return ContractionReport{}, err
