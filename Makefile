@@ -8,12 +8,21 @@ GO ?= go
 BENCH_OLD ?= BENCH_7.json
 BENCH_NEW ?= BENCH_8.json
 
-.PHONY: check vet race bench bench-compare bench-smoke bench-smoke-refresh benchmem e12-smoke e12-xl incident-replay incident-regen tables-regen livenet-soak recovery-soak serve-soak
+.PHONY: check perfbench-check vet race bench bench-compare bench-smoke bench-smoke-refresh benchmem e12-smoke e12-xl incident-replay incident-regen tables-regen livenet-soak recovery-soak serve-soak
 
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
+
+# perfbench-check builds, vets and tests the benchmark module. perfbench/
+# is a nested Go module (it imports this one through a replace), so
+# `make check` never compiles it, and a sim or harness API change could
+# break the benchmark unseen. -mod=mod lets the go command resolve the
+# replace without a committed go.sum; nothing is downloaded.
+perfbench-check:
+	GOFLAGS=-mod=mod $(GO) -C perfbench vet ./...
+	GOFLAGS=-mod=mod $(GO) -C perfbench test ./...
 
 race:
 	$(GO) test -race -run 'TestEngine|TestMapOrdered|TestRunAll|TestSetParallelism|TestSmoke|TestCoreEquivalenceTraces|TestRunContext' ./internal/harness/
