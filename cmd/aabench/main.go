@@ -1,9 +1,10 @@
 // Command aabench regenerates every evaluation artifact (experiments
-// E1–E15, listed in README.md) and prints them as aligned tables,
-// optionally also writing CSV files and a machine-readable benchmark
-// snapshot. This is the one-command reproduction of the paper's claims;
-// the BENCH_*.json files at the repo root record the performance
-// trajectory, and PERF.md explains the numbers.
+// E1–E14 from harness.Experiments, plus E15 from internal/serve) and
+// prints them as aligned tables, optionally also writing CSV files and a
+// machine-readable benchmark snapshot. This is the one-command
+// reproduction of the paper's claims; the BENCH_*.json files at the repo
+// root record the performance trajectory, and PERF.md explains the
+// numbers.
 //
 // Usage:
 //
