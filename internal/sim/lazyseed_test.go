@@ -42,6 +42,7 @@ func TestLazySeedingWarmEqualsFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	env := fault.Env{N: n, Rounds: rounds, Lo: p.Lo, Hi: p.Hi}
 	runs := []seedRun{
 		{spam: []sim.PartyID{0}},
 		{spam: []sim.PartyID{5}},
@@ -53,7 +54,8 @@ func TestLazySeedingWarmEqualsFresh(t *testing.T) {
 	}
 	var warm *sim.Network
 	for i, r := range runs {
-		cfg := seedRunConfig(r, n, int64(40+i%2), fault.Env{N: n, Rounds: rounds, Lo: p.Lo, Hi: p.Hi})
+		seed := int64(40 + i%2)
+		cfg := seedRunConfig(r, n, seed, env)
 		if warm == nil {
 			warm, err = sim.New(cfg)
 		} else {
@@ -65,7 +67,7 @@ func TestLazySeedingWarmEqualsFresh(t *testing.T) {
 		gotTrace, got := runSeedRun(t, warm, r, p)
 		// The config is rebuilt so the fresh run gets its own Byzantine
 		// process objects.
-		fresh, err := sim.New(seedRunConfig(r, n, int64(40+i%2), fault.Env{N: n, Rounds: rounds, Lo: p.Lo, Hi: p.Hi}))
+		fresh, err := sim.New(seedRunConfig(r, n, seed, env))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -109,10 +109,10 @@ func (r *Result) HonestSpread() float64 {
 // parties never draw (honest parties without the reliable transport) pay
 // no seeding; the network's scheduler source is seeded in Reset. After a
 // warm-up run of the same shape, a Reset + Run cycle performs zero
-// steady-state heap allocations. Reset is provably equivalent to fresh construction
-// (every field a run can observe is re-derived from the new Config), which
-// the harness pins by comparing warm and freshly built run contexts
-// report for report.
+// steady-state heap allocations. Reset is provably equivalent to fresh
+// construction (every field a run can observe is re-derived from the new
+// Config), which the harness pins by comparing warm and freshly built run
+// contexts report for report.
 type Network struct {
 	cfg        Config
 	parties    []*partyState // the run's parties: allParties[:cfg.N]
@@ -387,8 +387,9 @@ func New(cfg Config) (*Network, error) {
 // time, sequence counter, stats, party fault assignments, random sources —
 // is re-derived from cfg. The scheduler source is reseeded here; each
 // party's source gets its seed here and is seeded on the party's first
-// Rand call, so every stream is the one a fresh construction would give. Attached processes and the observer are
-// cleared; reattach with SetProcess (and SetObserver) before Run.
+// Rand call, so every stream is the one a fresh construction would give.
+// Attached processes and the observer are cleared; reattach with
+// SetProcess (and SetObserver) before Run.
 func (n *Network) Reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -426,7 +427,6 @@ func (n *Network) Reset(cfg Config) error {
 	}
 	n.resizeSoA(cfg.N)
 	for i, ps := range n.parties {
-		// The source is seeded lazily, on the party's first Rand call.
 		ps.seed = partySeed(cfg.Seed, i)
 		ps.seeded = false
 		ps.proc = nil
