@@ -8,7 +8,7 @@ GO ?= go
 BENCH_OLD ?= BENCH_7.json
 BENCH_NEW ?= BENCH_8.json
 
-.PHONY: check perfbench-check vet race bench bench-compare bench-smoke bench-smoke-refresh benchmem e12-smoke e12-xl incident-replay incident-regen tables-regen livenet-soak recovery-soak serve-soak
+.PHONY: check perfbench-check vet race fuzz-smoke bench bench-compare bench-smoke bench-smoke-refresh benchmem e12-smoke e12-xl incident-replay incident-regen tables-regen livenet-soak recovery-soak serve-soak
 
 check:
 	$(GO) build ./...
@@ -51,9 +51,10 @@ bench-smoke:
 bench-smoke-refresh:
 	$(GO) run ./cmd/aabench -seeds 1 -micro=false -json BENCH_SMOKE.json
 
-# e12-smoke exercises the n=512 scale axis (batched tick delivery + SoA
-# party state) on every PR: a reduced scenario slice at n=512 on the crash
-# protocol, ~3M messages per run, asserting full invariant success.
+# e12-smoke exercises the n=512 scale axis (per-envelope tick delivery over
+# the calendar queue and SoA party state) on every PR: a reduced scenario
+# slice at n=512 on the crash protocol, ~3M messages per run, asserting
+# full invariant success.
 e12-smoke:
 	E12_LARGE_SMOKE=1 $(GO) test -run TestE12LargeN512Smoke -v -timeout 20m ./internal/harness/
 
@@ -63,6 +64,17 @@ e12-smoke:
 # The full n=4096 sweep lives in the committed BENCH snapshot (aabench -xl).
 e12-xl:
 	E12_XL_SMOKE=1 $(GO) test -run TestE12XL1024Smoke -v -timeout 30m ./internal/harness/
+
+# fuzz-smoke runs each decoder fuzz target for 10 s: the wire messages,
+# checkpoint snapshots and incident bundles must never panic on hostile
+# bytes. -fuzzminimizetime 1x stops the engine from spending up to 60 s
+# minimizing each new-coverage input, which for the 9-105 KB incident
+# bundle seeds would leave the 10 s budget about 15 executions.
+FUZZ = $(GO) test -run '^$$' -fuzztime 10s -fuzzminimizetime 1x
+fuzz-smoke:
+	$(FUZZ) -fuzz '^FuzzWireDecode$$' ./internal/wire/
+	$(FUZZ) -fuzz '^FuzzCheckpointOpen$$' ./internal/checkpoint/
+	$(FUZZ) -fuzz '^FuzzIncidentDecode$$' ./internal/incident/
 
 # incident-replay replays every committed incident bundle in
 # testdata/incidents/ at 1 and 8 engine workers and diffs each run against

@@ -24,16 +24,14 @@
 // through a free list, so enqueue and dequeue are amortized O(1) per
 // event instead of a binary heap's O(log M) — the difference that makes
 // the E12 large-n sweeps (n up to 512, ~2.6M messages per run at the top)
-// practical. The Run loop drains one virtual-time tick per batch and
-// delivers dense ticks batched by destination: each party consumes its
-// whole tick through one DeliverBatch call (sim.BatchProcess, with a
-// per-envelope shim for processes that don't opt in), hot per-party
-// simulator state lives in flat struct-of-arrays on the Network, and
-// sends emitted mid-tick are deferred and flushed in trigger order so the
-// Seq and scheduler-rng streams are exactly those of per-envelope
-// delivery. This is the simulator's only execution path, one goroutine
-// per run; golden table and trace digests, recorded while reference
-// paths still existed and agreed with it, pin its behaviour.
+// practical. The Run loop drains one virtual-time tick at a time and
+// delivers it envelope by envelope in (time, Seq) order, the asynchronous
+// model's one-message-at-a-time delivery: each delivery's sends and
+// timers are scheduled at once, and the event budget and run completion
+// are checked per event. Hot per-party simulator state lives in flat
+// struct-of-arrays on the Network. This is the simulator's only execution
+// path, one goroutine per run; golden table and trace digests, recorded
+// while other paths still existed and agreed with it, pin its behaviour.
 //
 // Adversary wiring is declarative: internal/scenario turns a scheduler, a
 // fault composition, and a run shape into one registry-validated

@@ -81,9 +81,8 @@ type AsyncAA struct {
 }
 
 var (
-	_ sim.Process      = (*AsyncAA)(nil)
-	_ sim.BatchProcess = (*AsyncAA)(nil)
-	_ sim.Estimator    = (*AsyncAA)(nil)
+	_ sim.Process   = (*AsyncAA)(nil)
+	_ sim.Estimator = (*AsyncAA)(nil)
 )
 
 // NewAsyncAA builds a party of the asynchronous protocol. Params must have
@@ -198,24 +197,14 @@ func (a *AsyncAA) sendRound() {
 	a.api.Multicast(a.wireBuf)
 }
 
+// DeliverBatch does nothing.
+//
+// Deprecated: the simulator never calls it; it remains so AsyncAA keeps the
+// method set of sim.BatchProcess.
+func (a *AsyncAA) DeliverBatch(*sim.Batch) {}
+
 // Deliver implements sim.Process.
 func (a *AsyncAA) Deliver(from sim.PartyID, data []byte) {
-	a.deliver(from, data)
-}
-
-// DeliverBatch implements sim.BatchProcess: one call per virtual-time tick,
-// with the per-message work reduced to decode plus an O(1) bucket insert —
-// the quorum check and the (per-round, not per-message) view reduce happen
-// at the same per-envelope points as Deliver, so the two paths are
-// observably identical.
-func (a *AsyncAA) DeliverBatch(b *sim.Batch) {
-	for env := b.Next(); env != nil; env = b.Next() {
-		a.deliver(env.From, env.Data)
-	}
-}
-
-// deliver is the shared per-message body.
-func (a *AsyncAA) deliver(from sim.PartyID, data []byte) {
 	if a.err != nil {
 		return
 	}
@@ -412,8 +401,8 @@ func (a *AsyncAA) onValue(from sim.PartyID, m wire.Value) {
 	// The quorum test is the count pair; the O(n) view assembly and reduce
 	// run only when the current round can actually complete. Values for
 	// other rounds can never complete the current round, so the advance
-	// probe is skipped entirely — this is the "one view rebuild per round
-	// instead of per message" batching win.
+	// probe is skipped entirely: one view rebuild per round, not per
+	// message.
 	if m.Round == a.round && b.cnt+a.frozenCnt >= a.p.Quorum() {
 		a.advance()
 	}

@@ -44,7 +44,6 @@ type SyncAA struct {
 
 var (
 	_ sim.Process      = (*SyncAA)(nil)
-	_ sim.BatchProcess = (*SyncAA)(nil)
 	_ sim.TimerHandler = (*SyncAA)(nil)
 	_ sim.Estimator    = (*SyncAA)(nil)
 )
@@ -127,23 +126,14 @@ func (s *SyncAA) beginRound() {
 	s.api.SetTimer(s.p.RoundDuration, uint64(s.round))
 }
 
+// DeliverBatch does nothing.
+//
+// Deprecated: the simulator never calls it; it remains so SyncAA keeps the
+// method set of sim.BatchProcess.
+func (s *SyncAA) DeliverBatch(*sim.Batch) {}
+
 // Deliver implements sim.Process.
 func (s *SyncAA) Deliver(from sim.PartyID, data []byte) {
-	s.deliver(from, data)
-}
-
-// DeliverBatch implements sim.BatchProcess: the tick's arrivals are
-// ingested in one pass (an O(1) bucket insert each); interleaved round
-// timers fire from inside Next at their exact tick positions, so the
-// round-boundary view reduce happens once per round in both modes.
-func (s *SyncAA) DeliverBatch(b *sim.Batch) {
-	for env := b.Next(); env != nil; env = b.Next() {
-		s.deliver(env.From, env.Data)
-	}
-}
-
-// deliver is the shared per-message body.
-func (s *SyncAA) deliver(from sim.PartyID, data []byte) {
 	if s.err != nil || s.decided {
 		return
 	}

@@ -85,9 +85,8 @@ type witArrays struct {
 }
 
 var (
-	_ sim.Process      = (*WitnessAA)(nil)
-	_ sim.BatchProcess = (*WitnessAA)(nil)
-	_ sim.Estimator    = (*WitnessAA)(nil)
+	_ sim.Process   = (*WitnessAA)(nil)
+	_ sim.Estimator = (*WitnessAA)(nil)
 )
 
 // NewWitnessAA builds a party of the witness protocol. Adaptive mode is not
@@ -218,24 +217,14 @@ func (w *WitnessAA) Init(api sim.API) {
 	w.bcast.Broadcast(w.round, w.v)
 }
 
+// DeliverBatch does nothing.
+//
+// Deprecated: the simulator never calls it; it remains so WitnessAA keeps the
+// method set of sim.BatchProcess.
+func (w *WitnessAA) DeliverBatch(*sim.Batch) {}
+
 // Deliver implements sim.Process.
 func (w *WitnessAA) Deliver(from sim.PartyID, data []byte) {
-	w.deliver(from, data)
-}
-
-// DeliverBatch implements sim.BatchProcess: a quorum's worth of RBC
-// deliveries and reports is integrated in one call per tick. Observable
-// behavior (echo/ready/report multicasts, round advances, the decision)
-// keeps its exact per-envelope points; the batching win is the warm
-// per-party state across the tick's messages.
-func (w *WitnessAA) DeliverBatch(b *sim.Batch) {
-	for env := b.Next(); env != nil; env = b.Next() {
-		w.deliver(env.From, env.Data)
-	}
-}
-
-// deliver is the shared per-message body.
-func (w *WitnessAA) deliver(from sim.PartyID, data []byte) {
 	if w.err != nil || w.decided {
 		return
 	}

@@ -363,10 +363,7 @@ type amplifierProc struct {
 	buf    []byte
 }
 
-var (
-	_ sim.Process      = (*amplifierProc)(nil)
-	_ sim.BatchProcess = (*amplifierProc)(nil)
-)
+var _ sim.Process = (*amplifierProc)(nil)
 
 func (a *amplifierProc) Init(api sim.API) {
 	a.api = api
@@ -375,19 +372,6 @@ func (a *amplifierProc) Init(api sim.API) {
 }
 
 func (a *amplifierProc) Deliver(_ sim.PartyID, data []byte) {
-	a.ingest(data)
-}
-
-// DeliverBatch implements sim.BatchProcess; re-blasts keep their exact
-// per-envelope trigger points, so batched and per-envelope delivery are
-// observably identical.
-func (a *amplifierProc) DeliverBatch(b *sim.Batch) {
-	for env := b.Next(); env != nil; env = b.Next() {
-		a.ingest(env.Data)
-	}
-}
-
-func (a *amplifierProc) ingest(data []byte) {
 	kind, err := wire.Peek(data)
 	if err != nil || kind != wire.KindValue {
 		return

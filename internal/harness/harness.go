@@ -53,11 +53,8 @@ type Spec struct {
 	// RecordTrajectory enables diameter-over-time sampling.
 	RecordTrajectory bool
 	// Observer, when non-nil, sees every delivery (before the trajectory
-	// sampler). The golden trace test uses it to record full traces.
-	// Under batched delivery (the default) a dense tick's callbacks
-	// replay at tick end in delivery order, so an observer reading live
-	// protocol state sees end-of-tick state; the callback sequence itself
-	// is identical across delivery modes.
+	// sampler), right after the delivery is processed. The golden trace
+	// test uses it to record full traces.
 	Observer func(now sim.Time, env sim.Envelope)
 	// MaxEvents overrides the simulator's default event budget.
 	MaxEvents int

@@ -119,7 +119,11 @@ func SnapshotEngineStats() EngineStats {
 	}
 }
 
-func countRun(rep *Report) {
+// CountRun credits one completed run to the engine counters. RunAll does
+// this for its own runs; a caller that executes specs one at a time
+// through Run (the serving layer's attempts) calls it once per run, so
+// aabench's msgs/bytes gate covers those runs too.
+func CountRun(rep *Report) {
 	if rep.Result == nil {
 		engineRuns.Add(1)
 		return
@@ -128,8 +132,8 @@ func countRun(rep *Report) {
 }
 
 // countStats credits one completed simulation run to the engine counters.
-// Spec-based runs are counted by RunAll; non-Spec experiments that drive
-// the simulator directly (the vector extension) call it themselves.
+// Spec-based runs are counted through CountRun; non-Spec experiments that
+// drive the simulator directly (the vector extension) call it themselves.
 func countStats(stats sim.Stats) {
 	engineRuns.Add(1)
 	engineMsgsSent.Add(int64(stats.MessagesSent))
@@ -200,7 +204,7 @@ func RunAllLabeled(specs []Spec, label func(i int) string) ([]*Report, error) {
 			}
 			return nil, err
 		}
-		countRun(rep)
+		CountRun(rep)
 		return rep, nil
 	})
 }
@@ -219,7 +223,7 @@ func runAllOutcomes(specs []Spec) []runOutcome {
 	outs, _ := mapOrdered(len(specs), func(i int) (runOutcome, error) {
 		rep, err := Run(specs[i])
 		if err == nil {
-			countRun(rep)
+			CountRun(rep)
 		}
 		return runOutcome{rep: rep, err: err}, nil
 	})

@@ -3,6 +3,7 @@ package incident
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -130,6 +131,8 @@ func TestDecodeRejectsSemanticNonsense(t *testing.T) {
 		{"unparseable scenario", func(b *Bundle) { b.Scenario = "n=???" }},
 		{"scenario without t", func(b *Bundle) { b.Scenario = "random/n=5" }},
 		{"inputs vs n", func(b *Bundle) { b.Inputs = b.Inputs[:3] }},
+		{"NaN input", func(b *Bundle) { b.Inputs[1] = math.NaN() }},
+		{"infinite input", func(b *Bundle) { b.Inputs[1] = math.Inf(-1) }},
 		{"crash party out of range", func(b *Bundle) { b.Crashes[0].Party = 99 }},
 		{"duplicate fault", func(b *Bundle) {
 			b.Crashes = append(b.Crashes, sim.CrashPlan{Party: 0, AfterSends: 1})
@@ -177,5 +180,20 @@ func TestSaveLoadDir(t *testing.T) {
 	}
 	if _, err := Load(dir + "/missing" + BundleExt); err == nil {
 		t.Fatal("loading a missing file succeeded")
+	}
+}
+
+// TestDecodeCountBoundedByPayload pins that a length prefix larger than
+// the payload left fails as truncation before anything is allocated: a
+// few hostile bytes must not claim 2^26 delays (512 MiB).
+func TestDecodeCountBoundedByPayload(t *testing.T) {
+	d := &decoder{buf: binary.AppendUvarint(nil, maxSends)}
+	if n := d.count(maxSends, "delay"); n != 0 || !errors.Is(d.err, ErrTruncated) {
+		t.Fatalf("count = %d, err %v; want 0 and ErrTruncated", n, d.err)
+	}
+	d = &decoder{buf: binary.AppendUvarint(nil, 3)}
+	d.buf = append(d.buf, 1, 2, 3)
+	if n := d.count(maxSends, "delay"); n != 3 || d.err != nil {
+		t.Fatalf("count = %d, err %v; want 3 and no error", n, d.err)
 	}
 }

@@ -5,10 +5,10 @@ import "repro/internal/harness"
 // Episodes returns the committed incident corpus as un-captured bundle
 // configurations: six named adversarial episodes chosen to pin the
 // simulator paths that past perf refactors (calendar queue, context
-// recycling, batched tick delivery) had to re-prove equivalent ad hoc.
+// recycling, tick delivery) had to re-prove equivalent ad hoc.
 // `INCIDENT_REGEN=1 go test ./internal/incident/` re-captures them into
 // testdata/incidents/; the replay-matrix test re-runs the committed
-// bundles on every event core × delivery mode × engine parallelism.
+// bundles at 1 and 8 engine workers.
 //
 // Episode configurations are append-only in spirit: changing one rewrites
 // a committed trace, which is exactly the kind of silent history edit the
@@ -46,9 +46,8 @@ func Episodes() []*Bundle {
 		},
 		{
 			// A deliberately tiny event budget aborts a dense n=32 run in
-			// the middle of a batched tick: the abort must happen after the
-			// recorded delivery (budget-tripping ticks are delivered
-			// envelope by envelope).
+			// the middle of a tick: the abort must happen after the
+			// recorded delivery.
 			Name:      "budget-abort-mid-tick",
 			Scenario:  "random/n=32,t=5",
 			Protocol:  ProtoCrash,
@@ -61,9 +60,8 @@ func Episodes() []*Bundle {
 		},
 		{
 			// Lock-step delivery at n=24 makes every tick dense, so the
-			// last decision lands mid-tick: the batched core's mid-tick
-			// completion repair must cut off at exactly the recorded
-			// delivery.
+			// last decision lands mid-tick: the run must stop at exactly
+			// the recorded delivery.
 			Name:     "mid-tick-completion",
 			Scenario: "sync/n=24,t=3",
 			Protocol: ProtoCrash,

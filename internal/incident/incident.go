@@ -20,6 +20,7 @@ package incident
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -270,6 +271,13 @@ func (b *Bundle) Validate() error {
 	}
 	if len(b.Inputs) != p.N {
 		return fmt.Errorf("%w: %d inputs for n=%d", ErrMalformed, len(b.Inputs), p.N)
+	}
+	for i, v := range b.Inputs {
+		// The protocols refuse non-finite inputs, so such a bundle could
+		// never replay.
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%w: non-finite input %v for party %d", ErrMalformed, v, i)
+		}
 	}
 	// Only party-fault tokens conflict with explicit overrides; network-fault
 	// axes (loss/dup/outage/flap) live in the scheduler and restart axes

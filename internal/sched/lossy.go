@@ -12,8 +12,7 @@
 // in composition order). Loss and Dup draw exactly one Float64 per send
 // unconditionally (Dup draws one extra Int63n only when the duplicate
 // fires), so the stream is a pure function of the seed and the send
-// sequence, and capture/replay and batched delivery see identical
-// streams.
+// sequence, and capture and replay see identical streams.
 package sched
 
 import (

@@ -19,11 +19,10 @@ import (
 //	... re-run with extra instrumentation, same interleaving ...
 //
 // The log is a dense slice indexed by send sequence: the simulator allocates
-// sequence numbers contiguously from zero, and batched tick delivery flushes
-// deferred sends in exactly the per-envelope trigger order, so the sequence
-// a Recorder observes is the per-envelope one. A zero entry means "no
-// send recorded at that sequence" (timer events consume no sequence numbers,
-// and real delays are always >= 1). A run drives its scheduler from a single
+// sequence numbers contiguously from zero, in the order deliveries trigger
+// the sends. A zero entry means "no send recorded at that sequence" (timer
+// events take sequence numbers but never reach the scheduler, and real
+// delays are always >= 1). A run drives its scheduler from a single
 // goroutine, so the Recorder is deliberately lock-free; parallel sweeps give
 // each run its own Recorder instance, which keeps them race-free.
 type Recorder struct {

@@ -382,6 +382,7 @@ func Simulate(w workload.Spec, cfg Config, opts Options, horizon int64) (*Summar
 			if err != nil {
 				return nil, fmt.Errorf("serve: request %d: %w", p.req.ID, err)
 			}
+			harness.CountRun(rep)
 			sum.Instances++
 			sum.InstanceMsgs += int64(rep.Result.Stats.MessagesSent)
 			ok := rep.OK()

@@ -269,6 +269,7 @@ func runSimAttempt(cfg Config, lc LiveConfig, scen scenario.Spec, p *pending, st
 	if err != nil {
 		return false, false, 0, fmt.Errorf("serve: request %d: %w", p.req.ID, err)
 	}
+	harness.CountRun(rep)
 	if hold := time.Duration(p.req.Service)*lc.TickDur - time.Since(t0); hold > 0 {
 		time.Sleep(hold)
 	}

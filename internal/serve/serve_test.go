@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/incident"
 	"repro/internal/workload"
 )
@@ -168,6 +169,38 @@ func TestSimulateDeterministic(t *testing.T) {
 	}
 	if a.LatencyP(0.99) < a.LatencyP(0.5) {
 		t.Fatalf("p99 %d < p50 %d", a.LatencyP(0.99), a.LatencyP(0.5))
+	}
+}
+
+// TestAttemptsCreditEngineStats checks that every instance attempt is
+// credited to the harness engine counters exactly once, on both the
+// virtual-time engine and the live engine's simulator backend: aabench
+// reads those counters for E15's msgs/bytes-per-run row.
+func TestAttemptsCreditEngineStats(t *testing.T) {
+	w := workload.MustParse("poisson:30+lognormal:3:0.4+cohort:web:0.7:200:1+cohort:batch:0.3:800:0")
+	opts := Options{Workers: 2, QueueDepth: 8, BucketFill: 25, BucketBurst: 4, RetryBudget: 1}
+	run := map[string]func() (*Summary, error){
+		"simulate": func() (*Summary, error) { return Simulate(w, testConfig(), opts, 2000) },
+		"live-sim": func() (*Summary, error) {
+			return ServeLive(w, testConfig(), Options{Workers: 4, QueueDepth: 16}, LiveConfig{
+				Backend: BackendSim, TickDur: 200 * time.Microsecond, Requests: 12,
+			})
+		},
+	}
+	for name, fn := range run {
+		harness.ResetEngineStats()
+		sum, err := fn()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		st := harness.SnapshotEngineStats()
+		if sum.Instances == 0 {
+			t.Fatalf("%s: no instance ran", name)
+		}
+		if st.Runs != sum.Instances || st.MessagesSent != sum.InstanceMsgs {
+			t.Errorf("%s: engine credited %d runs / %d msgs, attempts were %d / %d",
+				name, st.Runs, st.MessagesSent, sum.Instances, sum.InstanceMsgs)
+		}
 	}
 }
 

@@ -10,16 +10,16 @@ import (
 	"testing"
 )
 
-// This file pins the run loop to golden run digests recorded from the
-// per-envelope reference loop before it was removed: identical delivery
-// traces, stats, decisions, and errors across schedulers (including
-// rng-consuming ones), crash plans, timers, dense n=64 ticks, mid-tick run
-// completion, and event-budget aborts — the simulator-level form of the
-// golden tables in internal/harness.
+// This file pins the run loop to golden run digests recorded from an
+// independent per-envelope reference loop before it was removed:
+// identical delivery traces, stats, decisions, and errors across
+// schedulers (including rng-consuming ones), crash plans, timers, dense
+// n=64 ticks, mid-tick run completion, and event-budget aborts — the
+// simulator-level form of the golden tables in internal/harness.
 
 // chattyProc reacts to every delivery with a point-to-point reply and a
 // periodic multicast, uses a timer, and decides after a message quota — a
-// dense mix of every API call the batching layer defers.
+// dense mix of every API call that schedules an event.
 type chattyProc struct {
 	api   API
 	need  int
@@ -174,8 +174,8 @@ func runDigest(trace []batchRecord, res *Result, runErr error) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// rngSched draws every delay from the shared rng: the serial dependency
-// that forces the batched loop to flush deferred sends in trigger order.
+// rngSched draws every delay from the shared rng, so the trace pins the
+// order in which sends are scheduled, not only the order of deliveries.
 type rngSched struct{ max int64 }
 
 func (s rngSched) Delay(_ Envelope, _ Time, rng *rand.Rand) Time {
@@ -192,8 +192,7 @@ func (fromSched) Delay(env Envelope, _ Time, _ *rand.Rand) Time {
 
 // TestBatchModeBudgetEquivalence pins the event-budget abort: the run
 // must abort at the exact event the reference loop did, with identical
-// partial stats, which it does by delivering the budget-tripping tick
-// envelope by envelope.
+// partial stats.
 func TestBatchModeBudgetEquivalence(t *testing.T) {
 	for _, budget := range []int{1, 7, 23, 50} {
 		mut := func(cfg *Config) { cfg.MaxEvents = budget }
@@ -207,8 +206,8 @@ func TestBatchModeBudgetEquivalence(t *testing.T) {
 
 // TestBatchModeMidTickCompletion makes a run end in the middle of a dense
 // tick — all parties decide at the same tick under a constant-delay
-// scheduler — so the completion repair must reproduce the reference
-// loop's early exit exactly: its stats and send stream match the golden.
+// scheduler — so the run must stop at the completing event exactly as the
+// reference loop did: its stats and send stream match the golden.
 func TestBatchModeMidTickCompletion(t *testing.T) {
 	net, err := New(Config{N: 8, Scheduler: constDelay{d: 4}, Seed: 3})
 	if err != nil {
@@ -230,90 +229,8 @@ func TestBatchModeMidTickCompletion(t *testing.T) {
 	checkGolden(t, "midtick", runDigest(trace, res, runErr))
 }
 
-// batchEcho is an echoProc that opts into DeliverBatch, counting batch
-// calls so the test can assert batching actually engaged.
-type batchEcho struct {
-	echoProc
-	batches int
-}
-
-func (p *batchEcho) DeliverBatch(b *Batch) {
-	p.batches++
-	for env := b.Next(); env != nil; env = b.Next() {
-		p.echoProc.Deliver(env.From, env.Data)
-	}
-}
-
-// TestBatchProcessDispatch checks that a BatchProcess receives its whole
-// tick in one DeliverBatch call (with per-envelope results identical to
-// the shim) and that unconsumed envelopes are drained by the runtime.
-func TestBatchProcessDispatch(t *testing.T) {
-	const n = 5
-	cfg := Config{N: n, Scheduler: constDelay{d: 2}, Seed: 9}
-	net, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	procs := make([]*batchEcho, n)
-	for i := 0; i < n; i++ {
-		procs[i] = &batchEcho{echoProc: echoProc{need: n}}
-		if err := net.SetProcess(PartyID(i), procs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := net.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Decisions) != n {
-		t.Fatalf("got %d decisions, want %d", len(res.Decisions), n)
-	}
-	for i, p := range procs {
-		// All n greetings land at tick 2 in one batch per party.
-		if p.batches != 1 {
-			t.Errorf("party %d saw %d batch calls, want 1", i, p.batches)
-		}
-		if p.got != n {
-			t.Errorf("party %d got %d deliveries, want %d", i, p.got, n)
-		}
-	}
-}
-
-// partialBatch consumes only the first envelope of every batch; the
-// runtime must drain the rest so behavior matches full consumption.
-type partialBatch struct{ echoProc }
-
-func (p *partialBatch) DeliverBatch(b *Batch) {
-	if env := b.Next(); env != nil {
-		p.echoProc.Deliver(env.From, env.Data)
-	}
-}
-
-func TestBatchPartialConsumerDrained(t *testing.T) {
-	const n = 5
-	net, err := New(Config{N: n, Scheduler: constDelay{d: 2}, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if err := net.SetProcess(PartyID(i), &partialBatch{echoProc{need: n}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := net.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Decisions) != n {
-		t.Fatalf("got %d decisions, want %d (drain must deliver unconsumed envelopes)", len(res.Decisions), n)
-	}
-	if res.Stats.MessagesDelivered != n*n {
-		t.Fatalf("MessagesDelivered = %d, want %d", res.Stats.MessagesDelivered, n*n)
-	}
-}
-
 // TestRecycledNetworkEquivalence pins Reset's recycling of the tick
-// scratch, payload arena, and party records: a network that just ran a
+// buffer, payload arena, and party records: a network that just ran a
 // dense n=12 mesh and is Reset to a new shape must reproduce a fresh
 // network's run exactly.
 func TestRecycledNetworkEquivalence(t *testing.T) {

@@ -140,22 +140,6 @@ type Network struct {
 	decision   []float64
 	decidedAt  []Time
 
-	// Batched tick delivery state (see batch.go), live only while a dense
-	// tick is being delivered: the per-destination staging of the tick's
-	// event indices, the deferred send/timer ops, and the trigger
-	// bookkeeping for the flush, the observer replay, and the mid-tick
-	// completion repair.
-	stage      [][]int32
-	touched    []int32     // staged destinations, in first-appearance (Seq) order
-	pend       []pendingOp // deferred ops, flushed in trigger order
-	pendStart  []int32     // flush counting sort: per-trigger start offsets
-	pendOrder  []int32     // flush counting sort: pend indices in trigger order
-	delivTrig  []int32     // trigger index of every delivery this tick
-	curTrig    int32       // trigger index of the event being processed
-	decideTrig int32       // largest trigger that produced an honest decision; -1 if none
-	deferOps   bool
-	bat        Batch // the reusable DeliverBatch iterator
-
 	maxHonestDelay Time
 	pendingHonest  int // honest parties that have not decided yet
 
@@ -314,12 +298,6 @@ func (p *partyState) Multicast(data []byte) {
 		return
 	}
 	n.countSends(id, k, int(size))
-	if n.deferOps {
-		// Batched tick in progress: the whole multicast coalesces into one
-		// pending op, expanded recipient by recipient at the flush.
-		n.pend = append(n.pend, pendingOp{ref: ref, size: size, from: id, trig: n.curTrig, mcastTo: int32(k)})
-		return
-	}
 	for to := PartyID(0); to < PartyID(k); to++ {
 		n.scheduleSend(id, to, ref, size)
 	}
@@ -333,13 +311,15 @@ func (p *partyState) SetTimer(delay Time, tag uint64) {
 	if delay < 1 {
 		delay = 1
 	}
-	if net.deferOps {
-		net.pend = append(net.pend, pendingOp{
-			from: p.id, delay: delay, tag: tag, trig: net.curTrig, timer: true,
-		})
-		return
-	}
-	net.scheduleTimer(p.id, delay, tag)
+	net.seq++
+	net.queue.Push(&event{
+		at:   net.now + delay,
+		seq:  net.seq,
+		from: int32(p.id),
+		to:   int32(p.id),
+		ref:  tag,
+		size: timerSize,
+	})
 }
 
 func (p *partyState) Decide(value float64) {
@@ -356,13 +336,6 @@ func (p *partyState) Decide(value float64) {
 	net.pendingHonest--
 	if net.now > net.finishTime {
 		net.finishTime = net.now
-	}
-	if net.deferOps && net.curTrig > net.decideTrig {
-		// Batched tick in progress: track the latest trigger that produced
-		// an honest decision. If this tick completes the run, per-envelope
-		// delivery would have stopped exactly there (the mid-tick
-		// completion repair in runTickBatched).
-		net.decideTrig = net.curTrig
 	}
 }
 
@@ -455,20 +428,12 @@ func (n *Network) Reset(cfg Config) error {
 	n.maxHonestDelay = 0
 	n.pendingHonest = 0
 	n.observer = nil
-	// Batching scratch is empty between ticks by construction; truncate
-	// defensively so an aborted run can never leak ops into the next.
-	n.pend = n.pend[:0]
-	n.touched = n.touched[:0]
-	n.delivTrig = n.delivTrig[:0]
-	n.deferOps = false
-	n.bat = Batch{}
 	n.arena.reset()
 	return nil
 }
 
-// resizeSoA (re)sizes the flat per-party state arrays and the batching
-// stage to n parties, growing capacity geometrically and recycling it
-// across runs like the party records themselves.
+// resizeSoA (re)sizes the flat per-party state arrays to n parties,
+// recycling their capacity across runs like the party records themselves.
 func (n *Network) resizeSoA(size int) {
 	if cap(n.crashed) < size {
 		n.crashed = make([]bool, size)
@@ -486,15 +451,6 @@ func (n *Network) resizeSoA(size int) {
 	n.sendBudget = n.sendBudget[:size]
 	n.decision = n.decision[:size]
 	n.decidedAt = n.decidedAt[:size]
-	if cap(n.stage) < size {
-		grown := make([][]int32, size)
-		copy(grown, n.stage[:cap(n.stage)])
-		n.stage = grown
-	}
-	n.stage = n.stage[:size]
-	for i := range n.stage {
-		n.stage[i] = n.stage[i][:0]
-	}
 }
 
 // SetProcess attaches the protocol state machine for a party. It must be
@@ -543,18 +499,10 @@ func (n *Network) send(from, to PartyID, ref uint64, size int32) {
 		n.sendBudget[from]--
 	}
 	n.countSends(from, 1, int(size))
-	if n.deferOps {
-		// Batched tick in progress: record the send tagged with the event
-		// being processed; Seq assignment and the delay draw happen in
-		// trigger order at the tick-end flush (see batch.go).
-		n.pend = append(n.pend, pendingOp{ref: ref, size: size, from: from, to: to, trig: n.curTrig})
-		return
-	}
 	n.scheduleSend(from, to, ref, size)
 }
 
-// countSends adds k sends of size bytes from a party to the stats; the
-// completion repair passes a negative k to back them out.
+// countSends adds k sends of size bytes from a party to the stats.
 func (n *Network) countSends(from PartyID, k, size int) {
 	n.stats.MessagesSent += k
 	n.stats.BytesSent += k * size

@@ -108,8 +108,7 @@ func restartActionLess(a, b restartAction) bool {
 // fireRestarts runs every pending restart action scheduled at or before
 // the current virtual time. The run loop calls it right after advancing
 // n.now to a new tick (before the tick's deliveries) and from the stall
-// branch, so actions always see tick-boundary state, which batched
-// delivery leaves identical to per-envelope delivery (batch.go).
+// branch, so actions always see tick-boundary state.
 func (n *Network) fireRestarts() error {
 	for n.rnext < len(n.ractions) && n.ractions[n.rnext].at <= n.now {
 		a := n.ractions[n.rnext]

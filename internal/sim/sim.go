@@ -157,6 +157,25 @@ type EventCore int
 // Deprecated: the simulator has one delivery path.
 type BatchMode int
 
+// BatchProcess is the retired per-tick delivery extension of Process.
+//
+// Deprecated: the simulator delivers every envelope through
+// Process.Deliver and never calls DeliverBatch.
+type BatchProcess interface {
+	Process
+	DeliverBatch(batch *Batch)
+}
+
+// Batch is the argument type of the retired DeliverBatch.
+//
+// Deprecated: see BatchProcess.
+type Batch struct{}
+
+// Next returns nil: a Batch holds no envelopes.
+//
+// Deprecated: see BatchProcess.
+func (*Batch) Next() *Envelope { return nil }
+
 // Sentinel errors returned by Run.
 var (
 	// ErrStalled is returned when the event queue drains before every
